@@ -80,63 +80,54 @@ fn main() {
     }
     group.finish();
 
-    // The pooled-scratch win: the same capacity ladder with the engine
-    // scratch (dependence masks + per-processor buffer pool) reused
-    // across every simulation of the sweep vs reallocated per call. The
-    // sweep runs sequentially so the calling thread's scratch pool is the
-    // one being exercised.
+    // Pooled scratch: the same capacity ladder with the engine scratch
+    // (dependence masks + per-processor buffer pool) reused across every
+    // simulation of the sweep. The sweep runs sequentially so the calling
+    // thread's scratch pool is the one being exercised.
     let mut group = c.benchmark_group("scratch_pool");
-    for (name, pool) in [("ladder_pooled", true), ("ladder_percall", false)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let base = SimConfig::default()
-                    .cache(LoweredCache::fresh())
-                    .pool_scratch(pool);
-                let plan = ladder_plan(&base, &SWEEP_LADDER, &[ExecMode::Hose, ExecMode::Case]);
-                let cycles: u64 = plan
-                    .run(&SweepExec::sequential(), |(cfg, mode)| {
-                        simulate_region(black_box(&bench.program), &labeled, *mode, cfg)
-                            .expect("runs")
-                            .report
-                            .region_cycles
-                    })
-                    .iter()
-                    .sum();
-                black_box(cycles)
-            })
-        });
-    }
+    group.bench_function("ladder_pooled", |b| {
+        b.iter(|| {
+            let base = SimConfig::default().cache(LoweredCache::fresh());
+            let plan = ladder_plan(&base, &SWEEP_LADDER, &[ExecMode::Hose, ExecMode::Case]);
+            let cycles: u64 = plan
+                .run(&SweepExec::sequential(), |(cfg, mode)| {
+                    simulate_region(black_box(&bench.program), &labeled, *mode, cfg)
+                        .expect("runs")
+                        .report
+                        .region_cycles
+                })
+                .iter()
+                .sum();
+            black_box(cycles)
+        })
+    });
     group.finish();
 
-    // The satellite A/B: the same pooled-vs-percall pair, but *sharded* —
-    // every `SweepPlan::run` spawns fresh scoped worker threads, which is
-    // exactly the churn that defeated the old thread-local scratch pool.
-    // With the shared `ScratchPool` handle the pooled variant keeps its
-    // win across sweeps because workers of run N+1 take the scratch that
-    // run N's (long dead) workers parked.
+    // The same ladder *sharded*: every `SweepPlan::run` spawns fresh
+    // scoped worker threads, which is exactly the churn that defeated the
+    // old thread-local scratch pool. With the shared `ScratchPool` handle
+    // the workers of run N+1 take the scratch that run N's (long dead)
+    // workers parked.
     let mut group = c.benchmark_group("scratch_pool_sharded");
-    for (name, pool) in [("ladder_pooled", true), ("ladder_percall", false)] {
-        let shared_pool = ScratchPool::fresh();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let base = SimConfig::default()
-                    .cache(LoweredCache::fresh())
-                    .scratch(shared_pool.clone())
-                    .pool_scratch(pool);
-                let plan = ladder_plan(&base, &SWEEP_LADDER, &[ExecMode::Hose, ExecMode::Case]);
-                let cycles: u64 = plan
-                    .run(&SweepExec::new().jobs(2), |(cfg, mode)| {
-                        simulate_region(black_box(&bench.program), &labeled, *mode, cfg)
-                            .expect("runs")
-                            .report
-                            .region_cycles
-                    })
-                    .iter()
-                    .sum();
-                black_box(cycles)
-            })
-        });
-    }
+    let shared_pool = ScratchPool::fresh();
+    group.bench_function("ladder_pooled", |b| {
+        b.iter(|| {
+            let base = SimConfig::default()
+                .cache(LoweredCache::fresh())
+                .scratch(shared_pool.clone());
+            let plan = ladder_plan(&base, &SWEEP_LADDER, &[ExecMode::Hose, ExecMode::Case]);
+            let cycles: u64 = plan
+                .run(&SweepExec::new().jobs(2), |(cfg, mode)| {
+                    simulate_region(black_box(&bench.program), &labeled, *mode, cfg)
+                        .expect("runs")
+                        .report
+                        .region_cycles
+                })
+                .iter()
+                .sum();
+            black_box(cycles)
+        })
+    });
     group.finish();
 
     // Whole-program simulation: the multi-region MGRID benchmark (serial

@@ -11,17 +11,18 @@
 //! the *same* regions over and over, and with this cache they analyze once
 //! per (procedure × region) instead of once per point.
 //!
-//! The cache mirrors `LoweredCache`'s shape exactly: a cheap `Clone` handle
-//! over shared storage, a process-global [`Default`],
-//! [`fresh`](AnalysisCache::fresh) isolation for tests, a size-bounded LRU with
-//! eviction counters, and (in debug builds) a structural fingerprint in the
-//! key that enforces the procedures-are-immutable convention.
+//! Like `LoweredCache`, the cache is a thin typed wrapper over the shared
+//! [`BoundedLru`]: a cheap `Clone` handle over shared storage, a
+//! process-global [`Default`], [`fresh`](AnalysisCache::fresh) isolation for
+//! tests, a size-bounded LRU with eviction counters, and (in debug builds) a
+//! structural fingerprint in the key that enforces the
+//! procedures-are-immutable convention.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use refidem_analysis::region::AnalysisError;
 use refidem_ir::ids::ProcId;
-use refidem_ir::lowered::CacheCounters;
+use refidem_ir::lru::BoundedLru;
 use refidem_ir::program::{Procedure, Program, RegionSpec};
 
 use crate::label::{label_program_region, LabeledProgram, LabeledRegion};
@@ -58,62 +59,6 @@ impl AnalysisKey {
     }
 }
 
-/// One cached analysis bundle plus the recency stamp LRU eviction orders by.
-struct CacheSlot {
-    region: Arc<LabeledRegion>,
-    last_used: u64,
-}
-
-struct CacheInner {
-    map: std::collections::HashMap<AnalysisKey, CacheSlot>,
-    capacity: usize,
-    /// Monotonic lookup clock; every hit or insert stamps its entry.
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CacheInner {
-    fn with_capacity(capacity: usize) -> Self {
-        CacheInner {
-            map: std::collections::HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts least-recently-used entries until the map fits the bound.
-    /// Returns how many entries were dropped. The scan is linear in the
-    /// entry count — eviction only happens at the bound, and the bound is
-    /// sized so ordinary workloads never reach it.
-    fn evict_to_capacity(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        while self.map.len() > self.capacity {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            dropped += 1;
-        }
-        self.evictions += dropped;
-        dropped
-    }
-}
-
 /// Per-call outcome of an [`AnalysisCache::lookup`]: the labeled region
 /// plus exactly what this call did to the cache, so callers can attribute
 /// hit/miss/eviction counts to a single run without racing other threads
@@ -128,28 +73,30 @@ pub struct AnalysisLookup {
     pub evicted: u64,
 }
 
-/// Per-run attribution of analysis-cache traffic, accumulated by counting
-/// [`AnalysisLookup`] outcomes (exact under concurrent users of a shared
+/// Per-run attribution of one compile-once cache's traffic — analysis
+/// lookups here, lowering lookups in the simulator — accumulated by
+/// counting lookup outcomes (exact under concurrent users of a shared
 /// cache, unlike diffing the lifetime counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisTally {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to analyze.
+    /// Lookups that had to compute.
     pub misses: u64,
     /// Entries evicted by this run's inserts.
     pub evictions: u64,
 }
 
 impl AnalysisTally {
-    /// Folds one lookup outcome into the tally.
-    pub fn count(&mut self, lookup: &AnalysisLookup) {
-        if lookup.hit {
+    /// Folds one lookup outcome (hit or miss, and the entries it evicted)
+    /// into the tally.
+    pub fn count(&mut self, hit: bool, evicted: u64) {
+        if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
-        self.evictions += lookup.evicted;
+        self.evictions += evicted;
     }
 }
 
@@ -158,20 +105,18 @@ impl AnalysisTally {
 /// (capacity ladders, differential suites, chaos schedules) *analyze once
 /// and iterate cheap*.
 ///
-/// The cache is a cheap handle (`Clone` shares the underlying storage);
+/// A thin typed wrapper over the shared [`BoundedLru`], whose methods it
+/// exposes through `Deref` (counters, capacity, `clear`). The cache is a
+/// cheap handle (`Clone` shares the underlying storage);
 /// [`AnalysisCache::default`] returns the **process-global** cache, so two
 /// independently-constructed `SimConfig`s — e.g. one per capacity point of
 /// a sweep — still share analyses. Use [`AnalysisCache::fresh`] for an
 /// isolated cache (tests, one-shot generated programs).
 ///
-/// The cache is **size-bounded**: it holds at most
-/// [`capacity`](AnalysisCache::capacity) analysis bundles and evicts the
-/// least-recently-used entry when a new analysis would exceed the bound.
 /// The default bound ([`AnalysisCache::DEFAULT_CAPACITY`]) is deliberately
 /// generous — far above what the benchmark suite and the differential
 /// corpus populate — so ordinary workloads never observe an eviction (a
-/// property the test suite asserts). Evictions are counted and surfaced
-/// next to hits and misses via [`counters`](AnalysisCache::counters).
+/// property the test suite asserts).
 ///
 /// Cached bundles are shared behind `Arc` and must be treated as
 /// immutable; a caller that wants to mutate a labeling (e.g. tamper
@@ -201,9 +146,15 @@ impl AnalysisTally {
 /// assert!(std::sync::Arc::ptr_eq(&first.region, &second.region));
 /// assert_eq!(cache.stats(), (1, 1)); // (hits, misses)
 /// ```
-#[derive(Clone)]
-pub struct AnalysisCache {
-    inner: Arc<Mutex<CacheInner>>,
+#[derive(Clone, Debug, PartialEq)]
+pub struct AnalysisCache(BoundedLru<AnalysisKey, LabeledRegion>);
+
+impl std::ops::Deref for AnalysisCache {
+    type Target = BoundedLru<AnalysisKey, LabeledRegion>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl Default for AnalysisCache {
@@ -211,26 +162,6 @@ impl Default for AnalysisCache {
     fn default() -> Self {
         static GLOBAL: OnceLock<AnalysisCache> = OnceLock::new();
         GLOBAL.get_or_init(AnalysisCache::fresh).clone()
-    }
-}
-
-/// Handle identity: two cache values are equal when they share the same
-/// underlying storage. (This is what lets configuration types holding a
-/// cache keep a derived `PartialEq`.)
-impl PartialEq for AnalysisCache {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-impl std::fmt::Debug for AnalysisCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("AnalysisCache")
-            .field("entries", &self.len())
-            .field("hits", &hits)
-            .field("misses", &misses)
-            .finish()
     }
 }
 
@@ -250,9 +181,7 @@ impl AnalysisCache {
     /// Creates an empty, isolated cache holding at most `capacity` entries
     /// (clamped to at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        AnalysisCache {
-            inner: Arc::new(Mutex::new(CacheInner::with_capacity(capacity))),
-        }
+        AnalysisCache(BoundedLru::with_capacity(capacity))
     }
 
     /// The process-global cache (same handle [`Default`] returns).
@@ -260,56 +189,20 @@ impl AnalysisCache {
         AnalysisCache::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("analysis cache poisoned")
-    }
-
     /// Returns the cached bundle for `key`, computing it with `analyze` on
-    /// a miss, along with exactly what this call did to the cache.
-    ///
-    /// Analysis runs *outside* the cache lock, so concurrent users (e.g.
-    /// sweep workers) never serialize their analyses; if two threads race
-    /// on the same key both analyze and one result wins — harmless, since
-    /// equal keys produce identical bundles. Inserting past the bound
-    /// evicts least-recently-used entries. A failed analysis is returned
-    /// as-is and never cached (and counts neither as hit nor miss).
+    /// a miss, along with exactly what this call did to the cache (see
+    /// [`BoundedLru::try_get_or_insert_with`]: analysis runs outside the
+    /// lock, and a failed analysis is returned as-is and never cached).
     pub fn lookup(
         &self,
         key: AnalysisKey,
         analyze: impl FnOnce() -> Result<LabeledRegion, AnalysisError>,
     ) -> Result<AnalysisLookup, AnalysisError> {
-        {
-            let mut inner = self.lock();
-            let stamp = inner.touch();
-            if let Some(found) = inner.map.get_mut(&key) {
-                found.last_used = stamp;
-                let region = found.region.clone();
-                inner.hits += 1;
-                return Ok(AnalysisLookup {
-                    region,
-                    hit: true,
-                    evicted: 0,
-                });
-            }
-        }
-        let analyzed = Arc::new(analyze()?);
-        let mut inner = self.lock();
-        inner.misses += 1;
-        let stamp = inner.touch();
-        let region = inner
-            .map
-            .entry(key)
-            .or_insert(CacheSlot {
-                region: analyzed,
-                last_used: stamp,
-            })
-            .region
-            .clone();
-        let evicted = inner.evict_to_capacity();
+        let found = self.try_get_or_insert_with(key, analyze)?;
         Ok(AnalysisLookup {
-            region,
-            hit: false,
-            evicted,
+            region: found.value,
+            hit: found.hit,
+            evicted: found.evicted,
         })
     }
 
@@ -365,7 +258,7 @@ impl AnalysisCache {
             .iter()
             .map(|r| {
                 let lookup = self.label_region_cached(program, &r.spec)?;
-                tally.count(&lookup);
+                tally.count(lookup.hit, lookup.evicted);
                 Ok(LabeledRegion::clone(&lookup.region))
             })
             .collect::<Result<Vec<_>, AnalysisError>>()?;
@@ -377,63 +270,6 @@ impl AnalysisCache {
             },
             tally,
         ))
-    }
-
-    /// `(hits, misses)` accumulated over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Lifetime counters plus occupancy and bound, in one snapshot.
-    pub fn counters(&self) -> CacheCounters {
-        let inner = self.lock();
-        CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-            capacity: inner.capacity,
-        }
-    }
-
-    /// Entries dropped by LRU eviction over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.lock().evictions
-    }
-
-    /// Maximum number of entries the cache will hold.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
-    /// Changes the entry bound (clamped to at least 1), evicting
-    /// least-recently-used entries immediately if the cache is over the new
-    /// bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity.max(1);
-        inner.evict_to_capacity();
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry and zeroes the counters (the storage — and thus
-    /// handle identity — is kept; the capacity bound is kept too).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.evictions = 0;
     }
 }
 
@@ -507,56 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn fresh_caches_are_isolated_and_the_global_is_shared() {
-        let a = AnalysisCache::fresh();
-        let b = AnalysisCache::fresh();
-        assert_ne!(a, b, "fresh caches never share storage");
+    fn the_global_is_shared_at_the_default_capacity() {
         assert_eq!(AnalysisCache::default(), AnalysisCache::global());
-        let program = two_region_program();
-        let spec = program.find_region("R1").unwrap();
-        a.label_region_cached(&program, &spec).expect("labels");
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 0, "isolated cache sees no traffic");
-    }
-
-    #[test]
-    fn capacity_one_evicts_lru() {
-        let cache = AnalysisCache::with_capacity(1);
-        let program = two_region_program();
-        let r1 = program.find_region("R1").unwrap();
-        let r2 = program.find_region("R2").unwrap();
-        let first = cache.label_region_cached(&program, &r1).expect("labels");
-        assert_eq!(first.evicted, 0);
-        let second = cache.label_region_cached(&program, &r2).expect("labels");
-        assert_eq!(second.evicted, 1, "second analysis evicts the first");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
-        // R1 was evicted: looking it up again re-analyzes.
-        let again = cache.label_region_cached(&program, &r1).expect("labels");
-        assert!(!again.hit);
-    }
-
-    #[test]
-    fn failed_analyses_are_not_cached() {
-        let cache = AnalysisCache::fresh();
-        let program = two_region_program();
-        let err = cache.label_region_by_name_cached(&program, "NOPE");
-        assert!(err.is_err());
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0), "failures count neither hit nor miss");
-    }
-
-    #[test]
-    fn clear_keeps_identity_and_capacity() {
-        let cache = AnalysisCache::with_capacity(7);
-        let program = two_region_program();
-        let spec = program.find_region("R1").unwrap();
-        cache.label_region_cached(&program, &spec).expect("labels");
-        let alias = cache.clone();
-        cache.clear();
-        assert_eq!(cache, alias);
-        assert_eq!(cache.capacity(), 7);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0));
+        assert_ne!(AnalysisCache::fresh(), AnalysisCache::global());
+        assert_eq!(
+            AnalysisCache::fresh().capacity(),
+            AnalysisCache::DEFAULT_CAPACITY
+        );
     }
 }

@@ -25,6 +25,8 @@
 //!   affine addresses are strength-reduced to induction address registers,
 //!   and compiled bytecode is shared across repeated runs through the
 //!   keyed [`lowered::LoweredCache`],
+//! * one bounded, shareable LRU map ([`lru`]) behind both compile-once
+//!   caches — compiled bytecode here, region analyses in `refidem-core`,
 //! * a pretty printer for Fortran-flavoured listings ([`pretty`]).
 //!
 //! The IR is deliberately structured (no gotos): every analysis in
@@ -41,6 +43,7 @@ pub mod exec;
 pub mod expr;
 pub mod ids;
 pub mod lowered;
+pub mod lru;
 pub mod memory;
 pub mod pretty;
 pub mod program;

@@ -32,6 +32,7 @@ use crate::affine::AffineExpr;
 use crate::exec::{DataStore, ExecError};
 use crate::expr::{BinOp, CmpOp, Expr, Reference, Subscript};
 use crate::ids::{RefId, VarId};
+use crate::lru::BoundedLru;
 use crate::memory::{Addr, Layout};
 use crate::program::Procedure;
 use crate::stmt::{LoopStmt, Stmt};
@@ -1173,21 +1174,18 @@ pub fn fingerprint_procedure(vars: &VarTable, stmts: &[Stmt]) -> u64 {
 /// repeated simulations of the same region (capacity ladders, processor
 /// sweeps, differential suites) *compile once and iterate cheap*.
 ///
-/// The cache is a cheap handle (`Clone` shares the underlying storage);
+/// A thin typed wrapper over the shared [`BoundedLru`], whose methods it
+/// exposes through `Deref` (lookups, counters, capacity, `clear`). The
+/// cache is a cheap handle (`Clone` shares the underlying storage);
 /// [`LoweredCache::default`] returns the **process-global** cache, so two
 /// independently-constructed `SimConfig`s — e.g. one per capacity point of
 /// a sweep — still share compiled code. Use [`LoweredCache::fresh`] for an
 /// isolated cache (tests, memory-sensitive embedders).
 ///
-/// The cache is **size-bounded**: it holds at most
-/// [`capacity`](LoweredCache::capacity) compiled procedures and evicts the
-/// least-recently-used entry when a new compilation would exceed the bound,
-/// so a long-running sweep or daemon process cannot grow it without limit.
 /// The default bound ([`LoweredCache::DEFAULT_CAPACITY`]) is deliberately
 /// generous — orders of magnitude above what the benchmark suite and the
 /// differential corpus populate — so ordinary workloads never observe an
-/// eviction (a property the test suite asserts). Evictions are counted and
-/// surfaced next to hits and misses via [`counters`](LoweredCache::counters).
+/// eviction (a property the test suite asserts).
 ///
 /// Entries are keyed by [`LowerKey`]: procedure identity — procedures are
 /// immutable after construction, so equal keys mean identical IR — plus,
@@ -1218,95 +1216,15 @@ pub fn fingerprint_procedure(vars: &VarTable, stmts: &[Stmt]) -> u64 {
 /// assert!(std::sync::Arc::ptr_eq(&first, &second));
 /// assert_eq!(cache.stats(), (1, 1)); // (hits, misses)
 /// ```
-#[derive(Clone)]
-pub struct LoweredCache {
-    inner: std::sync::Arc<std::sync::Mutex<CacheInner>>,
-}
+#[derive(Clone, Debug, PartialEq)]
+pub struct LoweredCache(BoundedLru<LowerKey, LoweredProc>);
 
-/// One cached compilation plus the recency stamp LRU eviction orders by.
-struct CacheSlot {
-    proc: std::sync::Arc<LoweredProc>,
-    last_used: u64,
-}
+impl std::ops::Deref for LoweredCache {
+    type Target = BoundedLru<LowerKey, LoweredProc>;
 
-struct CacheInner {
-    map: std::collections::HashMap<LowerKey, CacheSlot>,
-    capacity: usize,
-    /// Monotonic lookup clock; every hit or insert stamps its entry.
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CacheInner {
-    fn with_capacity(capacity: usize) -> Self {
-        CacheInner {
-            map: std::collections::HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts least-recently-used entries until the map fits the bound.
-    /// Returns how many entries were dropped. The scan is linear in the
-    /// entry count — eviction only happens at the bound, and the bound is
-    /// sized so ordinary workloads never reach it.
-    fn evict_to_capacity(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        while self.map.len() > self.capacity {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            dropped += 1;
-        }
-        self.evictions += dropped;
-        dropped
-    }
-}
-
-/// Per-call outcome of a [`LoweredCache::lookup`]: the compiled procedure
-/// plus exactly what this call did to the cache, so callers can attribute
-/// hit/miss/eviction counts to a single simulation without racing other
-/// threads on the shared lifetime counters.
-#[derive(Clone, Debug)]
-pub struct CacheLookup {
-    /// The compiled procedure (cached or freshly compiled).
-    pub proc: std::sync::Arc<LoweredProc>,
-    /// True when the procedure was served from the cache.
-    pub hit: bool,
-    /// Entries this call evicted to make room (0 on a hit).
-    pub evicted: u64,
-}
-
-/// A snapshot of a cache's lifetime counters and occupancy (see
-/// [`LoweredCache::counters`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Entries dropped by LRU eviction.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-    /// Maximum entries the cache will hold.
-    pub capacity: usize,
 }
 
 impl Default for LoweredCache {
@@ -1314,26 +1232,6 @@ impl Default for LoweredCache {
     fn default() -> Self {
         static GLOBAL: std::sync::OnceLock<LoweredCache> = std::sync::OnceLock::new();
         GLOBAL.get_or_init(LoweredCache::fresh).clone()
-    }
-}
-
-/// Handle identity: two cache values are equal when they share the same
-/// underlying storage. (This is what lets configuration types holding a
-/// cache keep a derived `PartialEq`.)
-impl PartialEq for LoweredCache {
-    fn eq(&self, other: &Self) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-impl std::fmt::Debug for LoweredCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("LoweredCache")
-            .field("entries", &self.len())
-            .field("hits", &hits)
-            .field("misses", &misses)
-            .finish()
     }
 }
 
@@ -1353,9 +1251,7 @@ impl LoweredCache {
     /// Creates an empty, isolated cache holding at most `capacity` entries
     /// (clamped to at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        LoweredCache {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(CacheInner::with_capacity(capacity))),
-        }
+        LoweredCache(BoundedLru::with_capacity(capacity))
     }
 
     /// The process-global cache (same handle [`Default`] returns).
@@ -1363,122 +1259,16 @@ impl LoweredCache {
         LoweredCache::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("lowered cache poisoned")
-    }
-
     /// Returns the cached bytecode for `key`, compiling it with `compile`
-    /// on a miss. The boolean is `true` on a hit. (Thin wrapper over
-    /// [`lookup`](Self::lookup) for callers that don't attribute eviction
-    /// counts.)
+    /// on a miss. The boolean is `true` on a hit. (For eviction counts use
+    /// [`BoundedLru::get_or_insert_with`].)
     pub fn get_or_lower(
         &self,
         key: LowerKey,
         compile: impl FnOnce() -> LoweredProc,
     ) -> (std::sync::Arc<LoweredProc>, bool) {
-        let outcome = self.lookup(key, compile);
-        (outcome.proc, outcome.hit)
-    }
-
-    /// Returns the cached bytecode for `key`, compiling it with `compile`
-    /// on a miss, along with exactly what this call did to the cache.
-    ///
-    /// Compilation runs *outside* the cache lock, so concurrent users
-    /// (e.g. the benchmark drivers' scoped threads) never serialize their
-    /// compiles; if two threads race on the same key both compile and one
-    /// result wins — harmless, since equal keys produce identical bytecode.
-    /// Inserting past the bound evicts least-recently-used entries.
-    pub fn lookup(&self, key: LowerKey, compile: impl FnOnce() -> LoweredProc) -> CacheLookup {
-        {
-            let mut inner = self.lock();
-            let stamp = inner.touch();
-            if let Some(found) = inner.map.get_mut(&key) {
-                found.last_used = stamp;
-                let proc = found.proc.clone();
-                inner.hits += 1;
-                return CacheLookup {
-                    proc,
-                    hit: true,
-                    evicted: 0,
-                };
-            }
-        }
-        let compiled = std::sync::Arc::new(compile());
-        let mut inner = self.lock();
-        inner.misses += 1;
-        let stamp = inner.touch();
-        let proc = inner
-            .map
-            .entry(key)
-            .or_insert(CacheSlot {
-                proc: compiled,
-                last_used: stamp,
-            })
-            .proc
-            .clone();
-        let evicted = inner.evict_to_capacity();
-        CacheLookup {
-            proc,
-            hit: false,
-            evicted,
-        }
-    }
-
-    /// `(hits, misses)` accumulated over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Lifetime counters plus occupancy and bound, in one snapshot.
-    pub fn counters(&self) -> CacheCounters {
-        let inner = self.lock();
-        CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-            capacity: inner.capacity,
-        }
-    }
-
-    /// Entries dropped by LRU eviction over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.lock().evictions
-    }
-
-    /// Maximum number of entries the cache will hold.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
-    /// Changes the entry bound (clamped to at least 1), evicting
-    /// least-recently-used entries immediately if the cache is over the new
-    /// bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity.max(1);
-        inner.evict_to_capacity();
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry and zeroes the counters (the storage — and thus
-    /// handle identity — is kept; the capacity bound is kept too).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.evictions = 0;
+        let outcome = self.get_or_insert_with(key, compile);
+        (outcome.value, outcome.hit)
     }
 }
 
@@ -2405,12 +2195,9 @@ mod tests {
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats(), (1, 3));
 
-        // A clone shares identity and contents; `fresh` does not.
-        assert_eq!(cache.clone(), cache);
+        // `fresh` is isolated; every `default` is the one global handle.
         assert_ne!(LoweredCache::fresh(), cache);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0));
+        assert_eq!(LoweredCache::default(), LoweredCache::global());
     }
 
     /// Builds a one-loop procedure whose region label is `name` (distinct
@@ -2424,68 +2211,16 @@ mod tests {
         b.build(body)
     }
 
-    fn lookup_region(cache: &LoweredCache, proc: &Procedure, region: &str) -> CacheLookup {
-        let layout = Layout::new(&proc.vars);
-        let key = LowerKey::new(proc, region, LowerUnit::RegionBody);
-        cache.lookup(key, || lower(&proc.vars, &layout, &proc.body))
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = LoweredCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let (p1, p2, p3) = (labeled_proc("R1"), labeled_proc("R2"), labeled_proc("R3"));
-
-        assert!(!lookup_region(&cache, &p1, "R1").hit);
-        assert!(!lookup_region(&cache, &p2, "R2").hit);
-        // Touch R1 so R2 becomes the least recently used entry...
-        assert!(lookup_region(&cache, &p1, "R1").hit);
-        // ...then a third insert must evict exactly R2.
-        let third = lookup_region(&cache, &p3, "R3");
-        assert!(!third.hit);
-        assert_eq!(third.evicted, 1);
-        assert_eq!(cache.len(), 2);
-        assert!(
-            lookup_region(&cache, &p1, "R1").hit,
-            "recently used survives"
-        );
-        assert!(
-            !lookup_region(&cache, &p2, "R2").hit,
-            "LRU entry recompiles"
-        );
-        assert_eq!(cache.evictions(), 2, "re-inserting R2 evicted R3 in turn");
-
-        let c = cache.counters();
-        assert_eq!((c.entries, c.capacity), (2, 2));
-        assert_eq!(c.hits + c.misses, 6);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately_and_clamps_to_one() {
-        let cache = LoweredCache::with_capacity(8);
-        let procs: Vec<(Procedure, &str)> = ["R1", "R2", "R3"]
-            .into_iter()
-            .map(|name| (labeled_proc(name), name))
-            .collect();
-        for (proc, name) in &procs {
-            lookup_region(&cache, proc, name);
-        }
-        assert_eq!(cache.len(), 3);
-        cache.set_capacity(0); // clamps to 1
-        assert_eq!(cache.capacity(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 2);
-        // The survivor is the most recently used entry.
-        assert!(lookup_region(&cache, &procs[2].0, "R3").hit);
-    }
-
     #[test]
     fn default_capacity_is_generous_and_unreached_by_ordinary_use() {
         let cache = LoweredCache::fresh();
         assert_eq!(cache.capacity(), LoweredCache::DEFAULT_CAPACITY);
         for i in 0..32 {
             let name = format!("R{i}");
-            lookup_region(&cache, &labeled_proc(&name), &name);
+            let proc = labeled_proc(&name);
+            let layout = Layout::new(&proc.vars);
+            let key = LowerKey::new(&proc, name, LowerUnit::RegionBody);
+            cache.get_or_lower(key, || lower(&proc.vars, &layout, &proc.body));
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 32);

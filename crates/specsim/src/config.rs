@@ -106,19 +106,14 @@ pub struct SimConfig {
     /// isolate a run. Runs handed an already-labeled region never touch
     /// it.
     pub analysis_cache: AnalysisCache,
-    /// Reuse engine scratch (dependence masks + per-processor buffer
-    /// pool) across the regions of a schedule *and* across repeated
-    /// simulation calls — including calls from the short-lived worker
-    /// threads [`SweepExec`](crate::sweep::SweepExec) spawns — via the
-    /// config's [`scratch`](SimConfig::scratch) pool (default). Disable
-    /// to allocate fresh scratch per call — results are bit-identical
-    /// either way (an A/B the tests and the `scratch_pool` bench rely
-    /// on); only the allocation traffic differs.
-    pub pool_scratch: bool,
-    /// The scratch pool `pool_scratch` draws from. Defaults to the
-    /// **process-global** pool ([`ScratchPool::global`]), so warm
-    /// allocations survive sweep workers' thread churn; substitute
-    /// [`ScratchPool::fresh`] to isolate a run's allocations.
+    /// The pool engine scratch (dependence masks + per-processor buffer
+    /// pool) is reused from, across the regions of a schedule *and* across
+    /// repeated simulation calls — including calls from the short-lived
+    /// worker threads [`SweepExec`](crate::sweep::SweepExec) spawns.
+    /// Defaults to the **process-global** pool ([`ScratchPool::global`]),
+    /// so warm allocations survive sweep workers' thread churn; substitute
+    /// [`ScratchPool::fresh`] to isolate a run's allocations. Results are
+    /// bit-identical either way; only the allocation traffic differs.
     pub scratch: ScratchPool,
     /// Which runtime executes speculative regions: the cycle-accounted
     /// single-thread simulator (default) or the real-thread runtime (see
@@ -132,12 +127,6 @@ pub struct SimConfig {
     /// [`Governor`]). The defaults are generous enough that no legitimate
     /// run trips them.
     pub governor: Governor,
-    /// Deprecated shim for the pre-`FaultPlan` ad-hoc fault hook: when
-    /// set, the segment with this index panics right after being
-    /// dispatched, exactly as if [`FaultPlan::panic_at`] had named it.
-    /// Kept for one release; use `cfg.faults` instead.
-    #[doc(hidden)]
-    pub test_fault_segment: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -162,12 +151,10 @@ impl Default for SimConfig {
             fuse_min_trips: 2,
             cache: LoweredCache::default(),
             analysis_cache: AnalysisCache::default(),
-            pool_scratch: true,
             scratch: ScratchPool::global(),
             runtime: SpecRuntime::Simulated,
             faults: FaultPlan::default(),
             governor: Governor::default(),
-            test_fault_segment: None,
         }
     }
 }
@@ -238,13 +225,6 @@ impl SimConfig {
     /// opt out of the process-global cache).
     pub fn analysis_cache(mut self, cache: AnalysisCache) -> Self {
         self.analysis_cache = cache;
-        self
-    }
-
-    /// Convenience: enables or disables engine-scratch pooling (see
-    /// [`SimConfig::pool_scratch`]) and returns the modified config.
-    pub fn pool_scratch(mut self, pool: bool) -> Self {
-        self.pool_scratch = pool;
         self
     }
 

@@ -192,7 +192,7 @@ impl DepMasks {
 /// pool — together with the per-address dependence masks — out of the engine,
 /// so `simulate_program` reuses one scratch across every region of a
 /// schedule, and repeated `simulate_region` calls (capacity-ladder sweeps)
-/// reuse it across calls via a thread-local pool. Without it, every
+/// reuse it across calls via the config's [`ScratchPool`]. Without it, every
 /// `simulate_region` call paid two `vec![0; total_words]` allocations for
 /// the masks plus one shadow-array pair per processor.
 ///
@@ -335,22 +335,60 @@ impl ScratchPool {
     }
 }
 
+/// The dense per-site label table both runtimes consult on every access,
+/// indexed by `RefId::index`. It is empty under HOSE, where every site is
+/// speculative; sites beyond the table default to `Speculative`, like
+/// `Labeling::label`.
+pub(crate) struct LabelTable {
+    labels: Vec<Label>,
+    has_private: bool,
+}
+
+impl LabelTable {
+    pub(crate) fn new(mode: ExecMode, labeling: &Labeling) -> Self {
+        let mut labels = Vec::new();
+        if mode == ExecMode::Case {
+            for (site, label) in labeling.iter() {
+                if site.index() >= labels.len() {
+                    labels.resize(site.index() + 1, Label::Speculative);
+                }
+                labels[site.index()] = label;
+            }
+        }
+        let has_private = labels.contains(&Label::Idempotent(IdemCategory::Private));
+        LabelTable {
+            labels,
+            has_private,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn label_of(&self, site: RefId) -> Label {
+        self.labels
+            .get(site.index())
+            .copied()
+            .unwrap_or(Label::Speculative)
+    }
+
+    /// True when some site is labeled private, so every segment pays the
+    /// private-stack setup.
+    pub(crate) fn has_private(&self) -> bool {
+        self.has_private
+    }
+}
+
 /// Runs one region speculatively. `memory` is the non-speculative storage,
 /// already holding the effects of the code preceding the region.
 pub(crate) struct Engine<'p> {
     cfg: &'p SimConfig,
-    mode: ExecMode,
     vars: &'p VarTable,
     layout: &'p Layout,
     region: &'p LoopStmt,
     /// The region body compiled to bytecode (present on the lowered
     /// backend; compiled once per engine, shared by every segment).
     lowered: Option<&'p LoweredProc>,
-    /// Dense per-site label table indexed by `RefId::index` (sites beyond
-    /// the table default to `Speculative`, like `Labeling::label`).
-    labels: Vec<Label>,
+    labels: LabelTable,
     iter_values: Vec<i64>,
-    has_private_labels: bool,
 
     execs: Vec<Option<AnyExec<'p>>>,
     slots: Vec<Option<SlotData>>,
@@ -389,31 +427,17 @@ impl<'p> Engine<'p> {
         scratch: &'p mut EngineScratch,
         memory: &'p mut Memory,
     ) -> Self {
-        let has_private_labels = mode == ExecMode::Case
-            && labeling
-                .iter()
-                .any(|(_, l)| l == Label::Idempotent(IdemCategory::Private));
-        let mut labels = Vec::new();
-        if mode == ExecMode::Case {
-            for (site, label) in labeling.iter() {
-                if site.index() >= labels.len() {
-                    labels.resize(site.index() + 1, Label::Speculative);
-                }
-                labels[site.index()] = label;
-            }
-        }
+        let labels = LabelTable::new(mode, labeling);
         let processors = cfg.processors.max(1);
         scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
         Engine {
             cfg,
-            mode,
             vars,
             layout,
             region,
             lowered,
             labels,
             iter_values,
-            has_private_labels,
             execs: (0..processors).map(|_| None).collect(),
             slots: (0..processors).map(|_| None).collect(),
             scratch,
@@ -501,7 +525,7 @@ impl<'p> Engine<'p> {
         let seg = self.next_dispatch;
         self.next_dispatch += 1;
         let mut clock = start_time + self.cfg.dispatch_cost;
-        if self.has_private_labels {
+        if self.labels.has_private() {
             clock += self.cfg.private_setup_cost;
         }
         // Reuse the storage retired by the previous segment on this
@@ -554,7 +578,7 @@ impl<'p> Engine<'p> {
         // to unwind, so an injected "panic" is returned directly as the
         // typed error the real-thread runtime would have reported after
         // catching it — same identity, same rendering.
-        if self.cfg.test_fault_segment == Some(seg) || self.cfg.faults.worker_panic(seg) {
+        if self.cfg.faults.worker_panic(seg) {
             return Err(SimError::WorkerPanic {
                 thread: p,
                 segment: Some(seg),
@@ -623,13 +647,13 @@ impl<'p> Engine<'p> {
                 .is_some_and(|s| !s.cond_checked && !s.done);
         if needs_cond {
             let head = self.head;
+            let violations_before = self.report.violations;
             let Engine {
                 slots,
                 scratch,
                 memory,
                 report,
                 cfg,
-                mode,
                 labels,
                 vars,
                 layout,
@@ -642,7 +666,6 @@ impl<'p> Engine<'p> {
             let cond = region.while_cond.as_ref().expect("while region");
             let mut ctx = AccessCtx {
                 cfg,
-                mode: *mode,
                 labels,
                 memory,
                 slots,
@@ -665,8 +688,16 @@ impl<'p> Engine<'p> {
                 (slot.clock, slot.spec.len())
             };
             self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
-            // The check only reads, so it cannot flag violations — but a
-            // tracked read can overflow the speculative buffer.
+            // A speculative read in the check can find that an older
+            // segment already wrote its address (a premature read). Roll
+            // back the flagged segments before acting on the stale value,
+            // exactly as after a body statement. The reader is among them,
+            // so it re-evaluates the check after its restart.
+            if self.report.violations != violations_before {
+                self.process_squashes(now)?;
+                return Ok(());
+            }
+            // A tracked read can also overflow the speculative buffer.
             let poisoned = self.slots[p]
                 .as_ref()
                 .map(|s| s.overflow_poisoned)
@@ -701,14 +732,12 @@ impl<'p> Engine<'p> {
             memory,
             report,
             cfg,
-            mode,
             labels,
             ..
         } = self;
         let exec = execs[p].as_mut().expect("exec present for runnable slot");
         let mut ctx = AccessCtx {
             cfg,
-            mode: *mode,
             labels,
             memory,
             slots,
@@ -785,7 +814,7 @@ impl<'p> Engine<'p> {
             execs,
             report,
             cfg,
-            has_private_labels,
+            labels,
             ..
         } = self;
         if let Some(slot) = slots[p].as_mut() {
@@ -802,7 +831,7 @@ impl<'p> Engine<'p> {
             slot.restarts += 1;
             report.max_segment_restarts = report.max_segment_restarts.max(slot.restarts);
             slot.clock = restart_time;
-            if *has_private_labels {
+            if labels.has_private() {
                 slot.clock += cfg.private_setup_cost;
             }
             if slot.restarts > cfg.governor.max_segment_restarts {
@@ -890,9 +919,7 @@ fn own_slot_mut(slots: &mut [Option<SlotData>], p: usize) -> &mut SlotData {
 /// and overflows.
 struct AccessCtx<'a> {
     cfg: &'a SimConfig,
-    mode: ExecMode,
-    /// Dense label table (see [`Engine`]); empty under HOSE.
-    labels: &'a [Label],
+    labels: &'a LabelTable,
     memory: &'a mut Memory,
     slots: &'a mut [Option<SlotData>],
     masks: &'a mut DepMasks,
@@ -902,18 +929,6 @@ struct AccessCtx<'a> {
 }
 
 impl AccessCtx<'_> {
-    #[inline]
-    fn label_of(&self, site: RefId) -> Label {
-        match self.mode {
-            ExecMode::Hose => Label::Speculative,
-            ExecMode::Case => self
-                .labels
-                .get(site.index())
-                .copied()
-                .unwrap_or(Label::Speculative),
-        }
-    }
-
     /// The stepping segment's slot. The slot is always present while its
     /// executor steps — the engine dispatched it in the same scan.
     #[inline]
@@ -984,7 +999,7 @@ impl AccessCtx<'_> {
 
 impl DataStore for AccessCtx<'_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        let label = self.label_of(site);
+        let label = self.labels.label_of(site);
         let own_seg = self.own().seg;
         let is_head = own_seg == self.head;
         match label {
@@ -1076,7 +1091,7 @@ impl DataStore for AccessCtx<'_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        let label = self.label_of(site);
+        let label = self.labels.label_of(site);
         let own_seg = self.own().seg;
         let is_head = own_seg == self.head;
         match label {

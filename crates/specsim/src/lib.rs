@@ -47,9 +47,8 @@ pub use config::{SimConfig, SpecRuntime};
 pub use engine::{EngineScratch, ScratchPool};
 pub use fault::{DegradeReason, FaultPlan, Governor, PerturbEdge};
 pub use refidem_core::cache::{AnalysisCache, AnalysisKey, AnalysisLookup, AnalysisTally};
-pub use refidem_ir::lowered::{
-    CacheCounters, CacheLookup, ExecBackend, LowerKey, LowerUnit, LoweredCache,
-};
+pub use refidem_ir::lowered::{ExecBackend, LowerKey, LowerUnit, LoweredCache};
+pub use refidem_ir::lru::{CacheCounters, Lookup};
 pub use report::{ProgramReport, SimReport, SpeedupComparison};
 pub use run::{
     compare_modes, compare_program_modes, initial_memory, label_program_cached,

@@ -83,6 +83,7 @@
 //! on every schedule.
 
 use crate::config::SimConfig;
+use crate::engine::LabelTable;
 use crate::fault::PerturbEdge;
 use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
@@ -191,10 +192,7 @@ enum Failure {
 /// Everything the workers share.
 struct Shared<'p> {
     cfg: &'p SimConfig,
-    mode: ExecMode,
-    /// Dense per-site label table; empty under HOSE (every site
-    /// speculative), same construction as the simulator's.
-    labels: Vec<Label>,
+    labels: LabelTable,
     memory: AtomicMemory,
     read_mask: Vec<AtomicU32>,
     write_mask: Vec<AtomicU32>,
@@ -293,23 +291,12 @@ pub(crate) fn run_region(
         return Ok(report);
     }
 
-    let mut labels = Vec::new();
-    if mode == ExecMode::Case {
-        for (site, label) in labeling.iter() {
-            if site.index() >= labels.len() {
-                labels.resize(site.index() + 1, Label::Speculative);
-            }
-            labels[site.index()] = label;
-        }
-    }
-
     // Never spawn more workers than there are segments to claim.
     let threads = processors.min(total);
     let words = layout.total_words() as usize;
     let shared = Shared {
         cfg,
-        mode,
-        labels,
+        labels: LabelTable::new(mode, labeling),
         memory: AtomicMemory::from_memory(memory),
         read_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
         write_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
@@ -424,7 +411,7 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
         // Injected dispatch failures: a real panic on the worker thread
         // (exercising the catch_unwind + abort drain path end to end), or
         // a typed error that propagates through the failure channel.
-        if shared.cfg.test_fault_segment == Some(seg) || shared.cfg.faults.worker_panic(seg) {
+        if shared.cfg.faults.worker_panic(seg) {
             panic!("injected segment fault");
         }
         if shared.cfg.faults.worker_error(seg) {
@@ -830,19 +817,6 @@ struct ParCtx<'a, 'p> {
 }
 
 impl ParCtx<'_, '_> {
-    #[inline]
-    fn label_of(&self, site: RefId) -> Label {
-        match self.shared.mode {
-            ExecMode::Hose => Label::Speculative,
-            ExecMode::Case => self
-                .shared
-                .labels
-                .get(site.index())
-                .copied()
-                .unwrap_or(Label::Speculative),
-        }
-    }
-
     /// Forwards from the youngest older in-flight segment holding a
     /// written entry for `addr`. Candidates come from the write mask;
     /// each is verified under its own lock (entry present *and* the slot
@@ -1001,7 +975,7 @@ impl ParCtx<'_, '_> {
 
 impl DataStore for ParCtx<'_, '_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        match self.label_of(site) {
+        match self.shared.labels.label_of(site) {
             Label::Speculative => self.speculative_read(addr),
             Label::Idempotent(IdemCategory::Private) => {
                 self.shared.tallies.private_reads.fetch_add(1, Relaxed);
@@ -1017,7 +991,7 @@ impl DataStore for ParCtx<'_, '_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        match self.label_of(site) {
+        match self.shared.labels.label_of(site) {
             Label::Speculative => self.speculative_write(addr, value),
             Label::Idempotent(IdemCategory::Private) => {
                 self.shared.tallies.private_writes.fetch_add(1, Relaxed);
@@ -1268,18 +1242,6 @@ mod tests {
                     "the payload survives: {message}"
                 );
             }
-            other => panic!("expected a typed worker panic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn the_deprecated_fault_shim_yields_the_same_typed_error() {
-        let p = recurrence_program();
-        let labeled = label_program_region_by_name(&p, "REC").unwrap();
-        let mut cfg = SimConfig::default().processors(4).threads();
-        cfg.test_fault_segment = Some(5);
-        match simulate_region(&p, &labeled, ExecMode::Hose, &cfg) {
-            Err(SimError::WorkerPanic { segment, .. }) => assert_eq!(segment, Some(5)),
             other => panic!("expected a typed worker panic, got {other:?}"),
         }
     }

@@ -28,8 +28,7 @@ use refidem_core::label::{LabeledProgram, LabeledRegion};
 use refidem_ir::exec::{CountingStore, DataStore, DynCounts, ExecError, PlainStore, SegmentExec};
 use refidem_ir::ids::RefId;
 use refidem_ir::lowered::{
-    fused::fuse, lower, lower_with_ranges, CacheLookup, ExecBackend, LowerKey, LowerUnit,
-    LoweredSegmentExec,
+    fused::fuse, lower, lower_with_ranges, ExecBackend, LowerKey, LowerUnit, LoweredSegmentExec,
 };
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::program::{Procedure, Program};
@@ -312,29 +311,6 @@ fn region_is_hot(cfg: &SimConfig, vars: &VarTable, region: &refidem_ir::stmt::Lo
         >= cfg.fuse_min_trips
 }
 
-/// Per-run tally of compilation-cache queries, copied into
-/// [`SimReport::lowering_cache_hits`] / `_misses` / `_evictions` at the
-/// end of a simulation. Counting per [`CacheLookup`] outcome (rather than
-/// diffing the shared cache's lifetime counters) keeps the attribution
-/// exact even when concurrent sweep workers share one cache.
-#[derive(Clone, Copy, Debug, Default)]
-struct CacheTally {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CacheTally {
-    fn count(&mut self, outcome: &CacheLookup) {
-        if outcome.hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.evictions += outcome.evicted;
-    }
-}
-
 /// Statement budget of the sequential (non-engine) portions of a run.
 const SEQ_STEP_BUDGET: usize = 200_000_000;
 
@@ -345,7 +321,7 @@ fn run_stmts_plain(
     memory: &mut Memory,
     cfg: &SimConfig,
     key: LowerKey,
-    tally: &mut CacheTally,
+    tally: &mut AnalysisTally,
 ) -> Result<(), SimError> {
     if stmts.is_empty() {
         return Ok(());
@@ -355,9 +331,11 @@ fn run_stmts_plain(
         // Serial statement spans are never regions, so the fused tier runs
         // them as plain bytecode and shares the lowered tier's cache keys.
         ExecBackend::Lowered | ExecBackend::Fused => {
-            let outcome = cfg.cache.lookup(key, || lower(vars, layout, stmts));
-            tally.count(&outcome);
-            LoweredSegmentExec::new(&outcome.proc, &[])
+            let outcome = cfg
+                .cache
+                .get_or_insert_with(key, || lower(vars, layout, stmts));
+            tally.count(outcome.hit, outcome.evicted);
+            LoweredSegmentExec::new(&outcome.value, &[])
                 .run(&mut store, SEQ_STEP_BUDGET)
                 .map_err(SimError::Exec)
         }
@@ -385,7 +363,7 @@ pub fn run_sequential(
     // outcome has no statistics report to surface the traffic on — the
     // tally is deliberately discarded ([`SimReport`]'s counters cover the
     // speculative runs, which is where sweeps spend their time).
-    let mut tally = CacheTally::default();
+    let mut tally = AnalysisTally::default();
     run_stmts_plain(
         vars,
         &layout,
@@ -414,16 +392,18 @@ pub fn run_sequential(
                 } else {
                     LowerUnit::RegionLoop
                 };
-                let outcome = cfg.cache.lookup(LowerKey::new(proc, label, unit), || {
-                    let base = lower(vars, &layout, region_stmt);
-                    if hot {
-                        fuse(&base)
-                    } else {
-                        base
-                    }
-                });
-                tally.count(&outcome);
-                let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
+                let outcome =
+                    cfg.cache
+                        .get_or_insert_with(LowerKey::new(proc, label, unit), || {
+                            let base = lower(vars, &layout, region_stmt);
+                            if hot {
+                                fuse(&base)
+                            } else {
+                                base
+                            }
+                        });
+                tally.count(outcome.hit, outcome.evicted);
+                let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
                 exec.run(&mut store, cfg.max_statements as usize)
                     .map_err(SimError::Exec)?;
                 exec.steps()
@@ -488,7 +468,7 @@ fn run_serial_span(
     memory: &mut Memory,
     cfg: &SimConfig,
     key: LowerKey,
-    tally: &mut CacheTally,
+    tally: &mut AnalysisTally,
 ) -> Result<u64, SimError> {
     if stmts.is_empty() {
         return Ok(0);
@@ -501,9 +481,11 @@ fn run_serial_span(
         // Serial spans stay on the plain tier under the fused backend too
         // (see `run_stmts_plain`).
         ExecBackend::Lowered | ExecBackend::Fused => {
-            let outcome = cfg.cache.lookup(key, || lower(vars, layout, stmts));
-            tally.count(&outcome);
-            let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
+            let outcome = cfg
+                .cache
+                .get_or_insert_with(key, || lower(vars, layout, stmts));
+            tally.count(outcome.hit, outcome.evicted);
+            let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
             exec.run(&mut store, SEQ_STEP_BUDGET)
                 .map_err(SimError::Exec)?;
             exec.steps()
@@ -536,7 +518,7 @@ fn run_region_serially(
     segments: usize,
     reason: DegradeReason,
     memory: &mut Memory,
-    tally: &mut CacheTally,
+    tally: &mut AnalysisTally,
 ) -> Result<SimReport, SimError> {
     let vars = &proc.vars;
     let region_stmt = std::slice::from_ref(&proc.body[stmt_index]);
@@ -555,16 +537,18 @@ fn run_region_serially(
             } else {
                 LowerUnit::RegionLoop
             };
-            let outcome = cfg.cache.lookup(LowerKey::new(proc, label, unit), || {
-                let base = lower(vars, layout, region_stmt);
-                if hot {
-                    fuse(&base)
-                } else {
-                    base
-                }
-            });
-            tally.count(&outcome);
-            let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
+            let outcome = cfg
+                .cache
+                .get_or_insert_with(LowerKey::new(proc, label, unit), || {
+                    let base = lower(vars, layout, region_stmt);
+                    if hot {
+                        fuse(&base)
+                    } else {
+                        base
+                    }
+                });
+            tally.count(outcome.hit, outcome.evicted);
+            let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
             exec.run(&mut store, cfg.max_statements as usize)
                 .map_err(SimError::Exec)?;
             exec.steps()
@@ -648,12 +632,8 @@ fn simulate_schedule(
 ) -> Result<(ProgramReport, Memory), SimError> {
     let vars = &proc.vars;
     let mut memory = initial_memory_with_layout(layout);
-    let mut scratch = if cfg.pool_scratch {
-        cfg.scratch.take()
-    } else {
-        EngineScratch::new()
-    };
-    let mut serial_tally = CacheTally::default();
+    let mut scratch = cfg.scratch.take();
+    let mut serial_tally = AnalysisTally::default();
     let mut report = ProgramReport::default();
     let mut cursor = 0usize;
     for (i, (stmt_index, labeled)) in regions.iter().enumerate() {
@@ -679,7 +659,7 @@ fn simulate_schedule(
         // flat affine addresses; the interval derives from the region
         // loop's constant bounds, so it is the same for every call that
         // shares the cache key.
-        let mut region_tally = CacheTally::default();
+        let mut region_tally = AnalysisTally::default();
         let lowered = match cfg.backend {
             ExecBackend::Lowered | ExecBackend::Fused => {
                 let index_ranges: Vec<_> =
@@ -696,18 +676,18 @@ fn simulate_schedule(
                 } else {
                     LowerUnit::RegionBody
                 };
-                let outcome = cfg
-                    .cache
-                    .lookup(LowerKey::new(proc, label.as_str(), unit), || {
-                        let base = lower_with_ranges(vars, layout, &region.body, &index_ranges);
-                        if hot {
-                            fuse(&base)
-                        } else {
-                            base
-                        }
-                    });
-                region_tally.count(&outcome);
-                Some(outcome.proc)
+                let outcome =
+                    cfg.cache
+                        .get_or_insert_with(LowerKey::new(proc, label.as_str(), unit), || {
+                            let base = lower_with_ranges(vars, layout, &region.body, &index_ranges);
+                            if hot {
+                                fuse(&base)
+                            } else {
+                                base
+                            }
+                        });
+                region_tally.count(outcome.hit, outcome.evicted);
+                Some(outcome.value)
             }
             ExecBackend::TreeWalk => None,
         };
@@ -796,9 +776,7 @@ fn simulate_schedule(
     report.total_cycles = report.serial_cycles + report.parallel_cycles();
     // Only a *successful* run returns its scratch to the config's pool:
     // an errored engine may leave dependence-mask marks set.
-    if cfg.pool_scratch {
-        cfg.scratch.restore(scratch);
-    }
+    cfg.scratch.restore(scratch);
     Ok((report, memory))
 }
 
@@ -915,7 +893,7 @@ pub fn simulate_region_cached(
         .label_region_by_name_cached(program, label)
         .map_err(|e| SimError::Region(e.to_string()))?;
     let mut tally = AnalysisTally::default();
-    tally.count(&lookup);
+    tally.count(lookup.hit, lookup.evicted);
     let mut out = simulate_region(program, &lookup.region, mode, cfg)?;
     out.report.analysis_cache_hits = tally.hits;
     out.report.analysis_cache_misses = tally.misses;
@@ -946,7 +924,7 @@ pub fn run_program_sequential(
         .map(|(d, lr)| (d.stmt_index, lr))
         .collect();
     let mut memory = initial_memory_with_layout(&layout);
-    let mut tally = CacheTally::default();
+    let mut tally = AnalysisTally::default();
     let mut serial_cycles = 0u64;
     let mut region_cycles = Vec::with_capacity(regions.len());
     let mut region_counts = Vec::with_capacity(regions.len());
@@ -974,18 +952,18 @@ pub fn run_program_sequential(
                 } else {
                     LowerUnit::RegionLoop
                 };
-                let outcome = cfg
-                    .cache
-                    .lookup(LowerKey::new(proc, label.as_str(), unit), || {
-                        let base = lower(vars, &layout, region_stmt);
-                        if hot {
-                            fuse(&base)
-                        } else {
-                            base
-                        }
-                    });
-                tally.count(&outcome);
-                let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
+                let outcome =
+                    cfg.cache
+                        .get_or_insert_with(LowerKey::new(proc, label.as_str(), unit), || {
+                            let base = lower(vars, &layout, region_stmt);
+                            if hot {
+                                fuse(&base)
+                            } else {
+                                base
+                            }
+                        });
+                tally.count(outcome.hit, outcome.evicted);
+                let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
                 exec.run(&mut store, cfg.max_statements as usize)
                     .map_err(SimError::Exec)?;
                 exec.steps()
@@ -1686,12 +1664,13 @@ mod tests {
         // The pooled and the per-call scratch paths must be bit-identical:
         // run a capacity ladder (which re-targets pooled buffer capacities
         // in place) on both and compare everything.
+        use crate::engine::ScratchPool;
         let p = two_region_program();
         let labeled = labeled_program(&p);
         for mode in [ExecMode::Hose, ExecMode::Case] {
             for capacity in [1usize, 4, 64, 4, 1] {
                 let pooled = SimConfig::default().capacity(capacity);
-                let fresh = pooled.clone().pool_scratch(false);
+                let fresh = pooled.clone().scratch(ScratchPool::fresh());
                 let a = simulate_program(&p, &labeled, mode, &pooled).unwrap();
                 let b = simulate_program(&p, &labeled, mode, &fresh).unwrap();
                 let strip = |r: &crate::report::ProgramReport| {

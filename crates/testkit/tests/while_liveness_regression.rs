@@ -17,6 +17,7 @@ use refidem_ir::ids::ProcId;
 use refidem_ir::program::Program;
 use refidem_ir::sites::AccessKind;
 use refidem_testkit::diff::{check_program, DiffConfig};
+use refidem_testkit::{check_generated, generate, generate_with, GenConfig};
 
 fn repro_program() -> Program {
     let mut b = ProcBuilder::new("repro");
@@ -103,4 +104,36 @@ fn while_cond_reads_keep_watched_vars_live_across_regions() {
         panic!("differential check failed: {e}");
     });
     assert!(stats.runs > 0);
+}
+
+/// A WHILE region's continuation check is a speculative read like any
+/// other: when it finds that an older segment already wrote its address, it
+/// flags a premature read. The engine must roll the flagged segments back
+/// before acting on the stale value. It used to set the termination flag
+/// from that value and skip the squash, so HOSE ended the region early and
+/// diverged from the sequential run. The seeds are the generated programs
+/// that exposed it: one at the default tuning, four at a tuning with longer
+/// regions and trips (checked at 4 and 8 processors).
+#[test]
+fn while_cond_premature_reads_roll_back_before_acting() {
+    check_generated(&generate(3322), &DiffConfig::default())
+        .unwrap_or_else(|e| panic!("seed 3322, default tuning: {e}"));
+    let tuned = GenConfig {
+        max_stmts: 12,
+        min_trips: 8,
+        max_trips: 48,
+        while_pct: 15,
+        ..GenConfig::default()
+    };
+    for seed in [288, 842, 1083, 1252] {
+        let g = generate_with(seed, &tuned);
+        for processors in [4, 8] {
+            let cfg = DiffConfig {
+                processors,
+                ..DiffConfig::default()
+            };
+            check_generated(&g, &cfg)
+                .unwrap_or_else(|e| panic!("seed {seed} at {processors} processors: {e}"));
+        }
+    }
 }
