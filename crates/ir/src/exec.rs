@@ -506,7 +506,22 @@ impl<'p> SegmentExec<'p> {
         e: &Expr,
         store: &mut impl DataStore,
     ) -> Result<f64, ExecError> {
-        SegmentExec::new(vars, layout, &[], env).eval(e, store)
+        // Only the index bindings matter to an expression: no statement
+        // frames, no retained initial environment.
+        let mut bound = vec![None; vars.len()];
+        for (v, value) in env {
+            bound[v.index()] = Some(*value);
+        }
+        SegmentExec {
+            vars,
+            layout,
+            root: &[],
+            initial_env: Vec::new(),
+            env: bound,
+            frames: Vec::new(),
+            steps: 0,
+        }
+        .eval(e, store)
     }
 
     /// Runs to completion (bounded by `max_steps` statement units).

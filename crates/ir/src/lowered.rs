@@ -1279,11 +1279,29 @@ struct LoopState {
     last: i64,
 }
 
+/// The heap buffers of a [`LoweredSegmentExec`], detached from any
+/// program so they can outlive it: [`LoweredSegmentExec::into_buffers`]
+/// moves them out and [`LoweredSegmentExec::with_buffers`] builds an
+/// executor for any program on top of them, growing them only when that
+/// program needs more room. A speculation engine parks one per processor
+/// between regions and calls, so steady-state dispatch allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ExecBuffers {
+    initial_env: Vec<(VarId, i64)>,
+    env: Vec<i64>,
+    bound: Vec<bool>,
+    loop_stack: Vec<LoopState>,
+    stack: Vec<f64>,
+    ind_addrs: Vec<i64>,
+}
+
 /// A resumable executor over a [`LoweredProc`] — the fast-path counterpart
 /// of [`SegmentExec`](crate::exec::SegmentExec), with the identical
 /// step/rollback contract: `step` executes one statement unit through a
 /// [`DataStore`], `reset` rewinds to the initial bindings for re-execution
-/// after a roll-back, and `steps` counts executed units.
+/// after a roll-back, and `steps` counts executed units. `rebind` retargets
+/// the executor at new initial bindings (the next segment of a region)
+/// without reallocating.
 #[derive(Clone, Debug)]
 pub struct LoweredSegmentExec<'p> {
     prog: &'p LoweredProc,
@@ -1304,23 +1322,78 @@ impl<'p> LoweredSegmentExec<'p> {
     /// Creates an executor with the given initial index bindings (e.g. the
     /// region-loop index of the segment).
     pub fn new(prog: &'p LoweredProc, initial_env: &[(VarId, i64)]) -> Self {
+        Self::with_buffers(prog, initial_env, ExecBuffers::default())
+    }
+
+    /// [`new`](Self::new) on top of recycled buffers (from
+    /// [`into_buffers`](Self::into_buffers) of an executor over any
+    /// program). The result is indistinguishable from a freshly allocated
+    /// executor.
+    pub fn with_buffers(
+        prog: &'p LoweredProc,
+        initial_env: &[(VarId, i64)],
+        bufs: ExecBuffers,
+    ) -> Self {
+        let ExecBuffers {
+            initial_env: initial,
+            env,
+            bound,
+            loop_stack,
+            stack,
+            ind_addrs,
+        } = bufs;
         let mut exec = LoweredSegmentExec {
             prog,
-            initial_env: initial_env.to_vec(),
-            env: vec![0; prog.env_len],
-            bound: vec![false; prog.env_len],
-            loop_stack: Vec::with_capacity(prog.max_loops),
-            // Fixed-size scratch: the compiler knows the deepest stack any
-            // statement unit can reach, and the stack is empty between
-            // units, so the executor indexes with a local stack pointer
-            // instead of growing/shrinking a Vec per operation.
-            stack: vec![0.0; prog.max_stack],
-            ind_addrs: vec![0; prog.addr_regs.len()],
+            initial_env: initial,
+            env,
+            bound,
+            loop_stack,
+            stack,
+            ind_addrs,
             pc: 0,
             steps: 0,
         };
-        exec.reset();
+        exec.rebind(initial_env);
         exec
+    }
+
+    /// Detaches the executor's buffers for reuse by a later
+    /// [`with_buffers`](Self::with_buffers).
+    pub fn into_buffers(self) -> ExecBuffers {
+        ExecBuffers {
+            initial_env: self.initial_env,
+            env: self.env,
+            bound: self.bound,
+            loop_stack: self.loop_stack,
+            stack: self.stack,
+            ind_addrs: self.ind_addrs,
+        }
+    }
+
+    /// Re-initializes the executor with new initial index bindings (the
+    /// next segment of the same region), exactly as [`new`](Self::new)
+    /// would, but reusing every allocation.
+    pub fn rebind(&mut self, initial_env: &[(VarId, i64)]) {
+        let prog = self.prog;
+        self.initial_env.clear();
+        self.initial_env.extend_from_slice(initial_env);
+        // Sized for this program and zeroed, so recycled buffers carry no
+        // state over from an earlier segment or program.
+        self.env.clear();
+        self.env.resize(prog.env_len, 0);
+        self.bound.clear();
+        self.bound.resize(prog.env_len, false);
+        self.loop_stack.clear();
+        self.loop_stack.reserve(prog.max_loops);
+        // Fixed-size scratch: the compiler knows the deepest stack any
+        // statement unit can reach, and the stack is empty between units,
+        // so the executor indexes with a local stack pointer instead of
+        // growing/shrinking a Vec per operation.
+        self.stack.clear();
+        self.stack.resize(prog.max_stack, 0.0);
+        self.ind_addrs.clear();
+        self.ind_addrs.resize(prog.addr_regs.len(), 0);
+        self.reset();
     }
 
     /// Restores the executor to its initial state (used for re-execution
@@ -1820,6 +1893,7 @@ mod tests {
     use crate::build::{ac, add, av, cmp, idx, mul, num, sub, ProcBuilder};
     use crate::exec::{CountingStore, PlainStore, SegmentExec};
     use crate::memory::Memory;
+    use crate::sites::AccessKind;
 
     /// Runs `proc` on both backends with tracing + counting stores and
     /// asserts bit-exact memory, identical traces and identical counts.
@@ -2264,6 +2338,134 @@ mod tests {
         let mut exec = LoweredSegmentExec::new(&lowered, &[]);
         let err = exec.run(&mut store, 1000).unwrap_err();
         assert_eq!(err, ExecError::UnboundVariable(k));
+    }
+
+    /// Runs `exec` to completion on a traced store over `layout`-sized
+    /// memory with a fixed non-zero initial image; returns the outcome,
+    /// the step count, the trace as comparable tuples and the final memory.
+    #[allow(clippy::type_complexity)]
+    fn run_traced(
+        mut exec: LoweredSegmentExec<'_>,
+        layout: &Layout,
+    ) -> (
+        Result<(), ExecError>,
+        usize,
+        Vec<(RefId, AccessKind, Addr, u64)>,
+        Memory,
+    ) {
+        let mut mem = Memory::init_with(layout, |a| (a.0 % 5) as f64 + 0.5);
+        let mut store = PlainStore::tracing(&mut mem);
+        let outcome = exec.run(&mut store, 100_000);
+        let trace = store
+            .trace
+            .iter()
+            .map(|e| (e.site, e.access, e.addr, e.value.to_bits()))
+            .collect();
+        (outcome, exec.steps(), trace, mem)
+    }
+
+    #[test]
+    fn recycled_buffers_execute_exactly_like_fresh_ones() {
+        // Larger program: nested loops, a conditional, induction registers
+        // and a deep expression stack, all under a segment index `k`.
+        let mut b = ProcBuilder::new("large");
+        let a = b.array("a", &[24]);
+        let c = b.array("c", &[8, 8]);
+        let s = b.scalar("s");
+        let k = b.index("k");
+        let i = b.index("i");
+        let j = b.index("j");
+        let deep = {
+            let x = add(b.load_elem(a, vec![av(i) + av(k)]), b.load(s));
+            let y = mul(b.load_elem(c, vec![av(i), av(j)]), add(idx(j), num(0.5)));
+            let rhs = add(mul(x, y), sub(idx(k), b.load_elem(a, vec![av(j)])));
+            b.assign_elem(c, vec![av(i), av(j)], rhs)
+        };
+        let inner = b.do_loop(j, ac(1), av(i), vec![deep]);
+        let bump = {
+            let rhs = add(b.load(s), b.load_elem(c, vec![av(i), ac(1)]));
+            b.assign_scalar(s, rhs)
+        };
+        let guard = b.if_then_else(cmp(CmpOp::Ge, idx(i), idx(k)), vec![bump], vec![]);
+        let outer = b.do_loop(i, ac(1), ac(6), vec![inner, guard]);
+        let large = b.build(vec![outer]);
+        let large_layout = Layout::new(&large.vars);
+        let large_k = k;
+        // Smaller program: one scalar statement under its own `k`.
+        let mut b = ProcBuilder::new("small");
+        let t = b.scalar("t");
+        let k = b.index("k");
+        let rhs = add(b.load(t), idx(k));
+        let assign = b.assign_scalar(t, rhs);
+        let small = b.build(vec![assign]);
+        let small_layout = Layout::new(&small.vars);
+        let small_k = k;
+        // Faulty program, declared like the larger one: it reads `i`
+        // unbound, which a donor's partial run had bound. The recycled
+        // executor must fail exactly like a fresh one.
+        let mut b = ProcBuilder::new("unbound");
+        let a = b.array("a", &[24]);
+        b.array("c", &[8, 8]);
+        b.scalar("s");
+        let k = b.index("k");
+        let i = b.index("i");
+        let assign = b.assign_elem(a, vec![av(i)], idx(k));
+        let unbound = b.build(vec![assign]);
+        let unbound_layout = Layout::new(&unbound.vars);
+        let unbound_k = k;
+
+        let large_plain = lower(&large.vars, &large_layout, &large.body);
+        let large_fused = fused::fuse(&large_plain);
+        let small_plain = lower(&small.vars, &small_layout, &small.body);
+        let unbound_plain = lower(&unbound.vars, &unbound_layout, &unbound.body);
+        assert!(large_plain.induction_reduced_refs() > 0);
+        assert!(large_plain.max_stack > small_plain.max_stack);
+        assert!(large_plain.env_len > small_plain.env_len);
+        let targets = [
+            (&large_plain, &large_layout, large_k),
+            (&large_fused, &large_layout, large_k),
+            (&small_plain, &small_layout, small_k),
+            (&unbound_plain, &unbound_layout, unbound_k),
+        ];
+
+        // Buffers left dirty by a partial run of each donor program.
+        let dirty_buffers = |donor: &LoweredProc, layout: &Layout, k: VarId| {
+            let mut mem = Memory::zeroed(layout);
+            let mut exec = LoweredSegmentExec::new(donor, &[(k, 3)]);
+            let mut store = PlainStore::new(&mut mem);
+            for _ in 0..4 {
+                if exec.step(&mut store) != Ok(true) {
+                    break;
+                }
+            }
+            exec.into_buffers()
+        };
+        for (prog, layout, k) in targets {
+            let env = [(k, 2)];
+            let expected = run_traced(LoweredSegmentExec::new(prog, &env), layout);
+            assert_eq!(expected.0.is_err(), std::ptr::eq(prog, &unbound_plain));
+            for (donor, donor_layout, donor_k) in targets {
+                let bufs = dirty_buffers(donor, donor_layout, donor_k);
+                let rebuilt = LoweredSegmentExec::with_buffers(prog, &env, bufs);
+                assert_eq!(run_traced(rebuilt, layout), expected, "buffers of a donor");
+            }
+            // Rebinding mid-segment equals a fresh executor on the new
+            // binding.
+            let mut exec = LoweredSegmentExec::new(prog, &[(k, 5)]);
+            let mut scratch = Memory::zeroed(layout);
+            let mut store = PlainStore::new(&mut scratch);
+            for _ in 0..3 {
+                if exec.step(&mut store) != Ok(true) {
+                    break;
+                }
+            }
+            exec.rebind(&env);
+            assert_eq!(
+                run_traced(exec, layout),
+                expected,
+                "rebind after a partial run"
+            );
+        }
     }
 
     #[test]

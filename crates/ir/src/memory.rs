@@ -152,9 +152,23 @@ impl Layout {
 }
 
 /// A flat word-addressed memory holding `f64` values.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Memory {
     words: Vec<f64>,
+}
+
+/// `clone_from` copies into the existing allocation (a derived `Clone`
+/// would allocate a fresh one), so a pooled snapshot is refilled in place.
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            words: self.words.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl Memory {

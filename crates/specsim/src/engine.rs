@@ -32,7 +32,7 @@ use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{DataStore, ExecError, SegmentExec};
 use refidem_ir::ids::RefId;
-use refidem_ir::lowered::{ExecBackend, LoweredProc, LoweredSegmentExec};
+use refidem_ir::lowered::{ExecBackend, ExecBuffers, LoweredProc, LoweredSegmentExec};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
@@ -186,15 +186,31 @@ impl DepMasks {
     }
 }
 
-/// Reusable engine scratch: the allocations whose lifetime exceeds one
-/// region execution. The engine always pooled retired `SpecBuffer`s and
-/// `PrivateStore`s *across segments* of one region; this struct lifts that
-/// pool — together with the per-address dependence masks — out of the engine,
-/// so `simulate_program` reuses one scratch across every region of a
-/// schedule, and repeated `simulate_region` calls (capacity-ladder sweeps)
-/// reuse it across calls via the config's [`ScratchPool`]. Without it, every
-/// `simulate_region` call paid two `vec![0; total_words]` allocations for
-/// the masks plus one shadow-array pair per processor.
+/// Reusable engine scratch: every allocation the engine's steady state
+/// needs, kept alive across segments, regions and calls so that dispatch,
+/// roll-back and commit allocate nothing once the scratch is warm.
+/// `simulate_program` reuses one scratch across every region of a
+/// schedule, and repeated calls (capacity-ladder sweeps) reuse it through
+/// the config's [`ScratchPool`]. It pools:
+///
+/// * the per-address dependence masks;
+/// * one retired [`SpecBuffer`]/[`PrivateStore`] pair per processor, so
+///   the dense shadow arrays are allocated once per processor, not once
+///   per segment;
+/// * one set of segment-executor buffers per processor
+///   ([`ExecBuffers`]): within a region a committed segment's executor is
+///   rebound to the next segment on its processor, and a successful run
+///   parks the buffers here for the next region or call — plus one set
+///   for the serial spans between regions;
+/// * the engine's slot vector;
+/// * the pre-region memory snapshot that serial degradation rewinds to,
+///   refilled in place with [`Memory::clone_from`].
+///
+/// Every buffer is re-sized for the next machine shape or program, so a
+/// scratch may move freely between programs, processor counts and
+/// capacities. Outside the scratch, a call still allocates its layout,
+/// initial memory and report, and each region its segment values,
+/// executor vector and CASE label table.
 ///
 /// Obtain one from a [`ScratchPool`] with [`ScratchPool::take`] and hand it
 /// back with [`ScratchPool::restore`] after a *successful* run; on error,
@@ -203,11 +219,18 @@ impl DepMasks {
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     /// Retired storage buffers, reused by the next segment dispatched onto
-    /// the same processor so the dense shadow arrays are allocated once per
-    /// processor, not once per segment (or region, or call).
+    /// the same processor.
     spare: Vec<Option<(SpecBuffer, PrivateStore)>>,
     /// Cross-slot dependence presence masks (see [`DepMasks`]).
     masks: DepMasks,
+    /// Parked executor buffers, one per processor.
+    exec_bufs: Vec<ExecBuffers>,
+    /// Executor buffers of the serial spans between regions.
+    pub(crate) serial: ExecBuffers,
+    /// The engine's per-processor slot vector (all `None` between runs).
+    slots: Vec<Option<SlotData>>,
+    /// The pre-region snapshot of the last armed region.
+    snapshot: Option<Memory>,
 }
 
 impl EngineScratch {
@@ -236,6 +259,12 @@ impl EngineScratch {
     /// mismatch, re-capacitied in place across ladder points).
     fn prepare(&mut self, processors: usize, capacity: usize, words: u64) {
         self.masks.prepare(processors, words);
+        self.exec_bufs.resize_with(processors, ExecBuffers::default);
+        debug_assert!(
+            self.slots.iter().all(Option::is_none),
+            "pooled slots must come back empty"
+        );
+        self.slots.resize_with(processors, || None);
         self.spare.resize_with(processors, || None);
         for slot in &mut self.spare {
             if let Some((spec, _)) = slot {
@@ -250,6 +279,20 @@ impl EngineScratch {
                 }
             }
         }
+    }
+
+    /// Records `memory` as the pre-region snapshot, reusing the previous
+    /// snapshot's allocation.
+    pub(crate) fn save_snapshot(&mut self, memory: &Memory) {
+        match &mut self.snapshot {
+            Some(snapshot) => snapshot.clone_from(memory),
+            None => self.snapshot = Some(memory.clone()),
+        }
+    }
+
+    /// Rewinds `memory` to the last [`save_snapshot`](Self::save_snapshot).
+    pub(crate) fn rewind(&self, memory: &mut Memory) {
+        memory.clone_from(self.snapshot.as_ref().expect("snapshot saved"));
     }
 }
 
@@ -430,6 +473,8 @@ impl<'p> Engine<'p> {
         let labels = LabelTable::new(mode, labeling);
         let processors = cfg.processors.max(1);
         scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
+        // Borrowed from the scratch for the run; `run` hands it back.
+        let slots = std::mem::take(&mut scratch.slots);
         Engine {
             cfg,
             vars,
@@ -439,7 +484,7 @@ impl<'p> Engine<'p> {
             labels,
             iter_values,
             execs: (0..processors).map(|_| None).collect(),
-            slots: (0..processors).map(|_| None).collect(),
+            slots,
             scratch,
             memory,
             head: 0,
@@ -518,6 +563,14 @@ impl<'p> Engine<'p> {
             }
         }
         self.report.region_cycles = self.last_commit_time;
+        // Park the executor buffers and the (now empty) slot vector for
+        // the next region or call.
+        for (bufs, exec) in self.scratch.exec_bufs.iter_mut().zip(self.execs) {
+            if let Some(AnyExec::Lowered(exec)) = exec {
+                *bufs = exec.into_buffers();
+            }
+        }
+        self.scratch.slots = self.slots;
         Ok(self.report)
     }
 
@@ -559,21 +612,31 @@ impl<'p> Engine<'p> {
             term_pending: false,
         });
         let env = [(self.region.index, self.iter_values[seg])];
-        self.execs[p] = Some(match self.cfg.backend {
+        let exec = &mut self.execs[p];
+        match (exec.as_mut(), self.cfg.backend) {
+            // The executor of the segment that last ran on this processor
+            // stays behind on commit; rebinding it is `new` without the
+            // allocations.
+            (Some(AnyExec::Lowered(exec)), _) => exec.rebind(&env),
             // The fused tier hands the engine pre-compiled (possibly
             // fused) bytecode exactly like the plain tier; the executor is
             // the same resumable machine either way.
-            ExecBackend::Lowered | ExecBackend::Fused => AnyExec::Lowered(LoweredSegmentExec::new(
-                self.lowered.expect("lowered region body compiled"),
-                &env,
-            )),
-            ExecBackend::TreeWalk => AnyExec::Tree(SegmentExec::new(
-                self.vars,
-                self.layout,
-                &self.region.body,
-                &env,
-            )),
-        });
+            (_, ExecBackend::Lowered | ExecBackend::Fused) => {
+                *exec = Some(AnyExec::Lowered(LoweredSegmentExec::with_buffers(
+                    self.lowered.expect("lowered region body compiled"),
+                    &env,
+                    std::mem::take(&mut self.scratch.exec_bufs[p]),
+                )));
+            }
+            (_, ExecBackend::TreeWalk) => {
+                *exec = Some(AnyExec::Tree(SegmentExec::new(
+                    self.vars,
+                    self.layout,
+                    &self.region.body,
+                    &env,
+                )));
+            }
+        }
         // Injected dispatch failures. The simulator has no worker thread
         // to unwind, so an injected "panic" is returned directly as the
         // typed error the real-thread runtime would have reported after
@@ -859,27 +922,26 @@ impl<'p> Engine<'p> {
     /// segment onto the freed processor.
     fn commit(&mut self, p: usize) -> Result<(), SimError> {
         let total = self.iter_values.len();
-        let (commit_time, dirty, terminator): (u64, Vec<(Addr, f64)>, bool) = {
-            let slot = self.slots[p].as_ref().expect("slot");
-            let dirty = slot.spec.dirty_entries();
-            let commit_time = slot.clock + self.cfg.commit_per_entry * dirty.len() as u64;
-            (commit_time, dirty, slot.term_pending)
-        };
-        for (addr, value) in &dirty {
-            self.memory.store(*addr, *value);
+        let slot = self.slots[p].take().expect("slot");
+        // Commit in place, straight from the journal: it holds each address
+        // once, so the store order cannot be observed.
+        let mut entries = 0u64;
+        for (addr, value) in slot.spec.written() {
+            self.memory.store(addr, value);
+            entries += 1;
         }
+        let commit_time = slot.clock + self.cfg.commit_per_entry * entries;
+        let terminator = slot.term_pending;
         self.report.commits += 1;
-        self.report.committed_entries += dirty.len() as u64;
+        self.report.committed_entries += entries;
         self.last_commit_time = self.last_commit_time.max(commit_time);
         self.head += 1;
         // Retire the slot's storage into the spare pool for the next
         // segment dispatched onto this processor (and, via the pooled
-        // scratch, for the next region or call).
-        if let Some(slot) = self.slots[p].take() {
-            self.scratch.masks.retract(p, &slot.spec);
-            self.scratch.spare[p] = Some((slot.spec, slot.private));
-        }
-        self.execs[p] = None;
+        // scratch, for the next region or call). The executor stays in
+        // `execs[p]` for the next dispatch to rebind.
+        self.scratch.masks.retract(p, &slot.spec);
+        self.scratch.spare[p] = Some((slot.spec, slot.private));
         self.stmts_since_commit = 0;
         if terminator {
             // The committed head's continuation check failed: the region is
@@ -892,7 +954,6 @@ impl<'p> Engine<'p> {
                     self.scratch.masks.retract(q, &slot.spec);
                     self.scratch.spare[q] = Some((slot.spec, slot.private));
                 }
-                self.execs[q] = None;
             }
             self.report.segments = self.head;
             self.next_dispatch = total;

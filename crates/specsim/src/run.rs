@@ -28,7 +28,8 @@ use refidem_core::label::{LabeledProgram, LabeledRegion};
 use refidem_ir::exec::{CountingStore, DataStore, DynCounts, ExecError, PlainStore, SegmentExec};
 use refidem_ir::ids::RefId;
 use refidem_ir::lowered::{
-    fused::fuse, lower, lower_with_ranges, ExecBackend, LowerKey, LowerUnit, LoweredSegmentExec,
+    fused::fuse, lower, lower_with_ranges, ExecBackend, ExecBuffers, LowerKey, LowerUnit,
+    LoweredSegmentExec,
 };
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::program::{Procedure, Program};
@@ -265,6 +266,10 @@ fn resolve<'a>(
     Ok((proc, &proc.vars, layout))
 }
 
+/// Most segments one region may have; a larger trip count is refused
+/// before any segment value is materialized.
+const MAX_REGION_TRIPS: usize = 10_000_000;
+
 fn region_iteration_values(
     vars: &VarTable,
     region: &refidem_ir::stmt::LoopStmt,
@@ -275,19 +280,16 @@ fn region_iteration_values(
         return Err(SimError::RegionBoundsNotConstant);
     }
     let (lo, hi, step) = (lower.constant, upper.constant, region.step);
-    let mut values = Vec::new();
-    let mut k = lo;
-    loop {
-        if (step > 0 && k > hi) || (step < 0 && k < hi) {
-            break;
-        }
-        values.push(k);
-        k += step;
-        if values.len() > 10_000_000 {
-            return Err(SimError::Region("region trip count too large".to_string()));
-        }
+    // A zero step never terminates: refuse it like an oversized loop.
+    let trips = match step {
+        0 => usize::MAX,
+        _ => refidem_ir::stmt::LoopStmt::trip_count(lo, hi, step),
+    };
+    if trips > MAX_REGION_TRIPS {
+        return Err(SimError::Region("region trip count too large".to_string()));
     }
-    Ok(values)
+    // An exact-size iterator: one allocation at the final capacity.
+    Ok((0..trips as i64).map(|t| lo + t * step).collect())
 }
 
 /// Heat selection for the fused tier: a region is *hot* when the fused
@@ -460,7 +462,8 @@ impl DataStore for TallyStore<'_> {
 }
 
 /// Runs one serial statement span on one processor and returns its cycle
-/// cost.
+/// cost. The bytecode executor is built on `bufs` and hands them back.
+#[allow(clippy::too_many_arguments)]
 fn run_serial_span(
     vars: &VarTable,
     layout: &Layout,
@@ -469,6 +472,7 @@ fn run_serial_span(
     cfg: &SimConfig,
     key: LowerKey,
     tally: &mut AnalysisTally,
+    bufs: &mut ExecBuffers,
 ) -> Result<u64, SimError> {
     if stmts.is_empty() {
         return Ok(0);
@@ -485,10 +489,13 @@ fn run_serial_span(
                 .cache
                 .get_or_insert_with(key, || lower(vars, layout, stmts));
             tally.count(outcome.hit, outcome.evicted);
-            let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
-            exec.run(&mut store, SEQ_STEP_BUDGET)
-                .map_err(SimError::Exec)?;
-            exec.steps()
+            let mut exec =
+                LoweredSegmentExec::with_buffers(&outcome.value, &[], std::mem::take(bufs));
+            let result = exec.run(&mut store, SEQ_STEP_BUDGET);
+            let steps = exec.steps();
+            *bufs = exec.into_buffers();
+            result.map_err(SimError::Exec)?;
+            steps
         }
         ExecBackend::TreeWalk => {
             let mut exec = SegmentExec::new(vars, layout, stmts, &[]);
@@ -634,7 +641,10 @@ fn simulate_schedule(
     let mut memory = initial_memory_with_layout(layout);
     let mut scratch = cfg.scratch.take();
     let mut serial_tally = AnalysisTally::default();
-    let mut report = ProgramReport::default();
+    let mut report = ProgramReport {
+        regions: Vec::with_capacity(regions.len()),
+        ..ProgramReport::default()
+    };
     let mut cursor = 0usize;
     for (i, (stmt_index, labeled)) in regions.iter().enumerate() {
         report.serial_cycles += run_serial_span(
@@ -645,6 +655,7 @@ fn simulate_schedule(
             cfg,
             serial_span_key(proc, regions, i, cursor),
             &mut serial_tally,
+            &mut scratch.serial,
         )?;
         cursor = stmt_index + 1;
         let label = &labeled.analysis.spec.loop_label;
@@ -662,11 +673,10 @@ fn simulate_schedule(
         let mut region_tally = AnalysisTally::default();
         let lowered = match cfg.backend {
             ExecBackend::Lowered | ExecBackend::Fused => {
-                let index_ranges: Vec<_> =
-                    match (iter_values.iter().min(), iter_values.iter().max()) {
-                        (Some(&lo), Some(&hi)) => vec![(region.index, (lo, hi))],
-                        _ => Vec::new(),
-                    };
+                let index_range = match (iter_values.iter().min(), iter_values.iter().max()) {
+                    (Some(&lo), Some(&hi)) => Some((region.index, (lo, hi))),
+                    _ => None,
+                };
                 // Heat-select the tier: hot regions compile their segment
                 // body through `fuse` under a fused-tier key; cold regions
                 // share the plain tier's entry.
@@ -679,7 +689,12 @@ fn simulate_schedule(
                 let outcome =
                     cfg.cache
                         .get_or_insert_with(LowerKey::new(proc, label.as_str(), unit), || {
-                            let base = lower_with_ranges(vars, layout, &region.body, &index_ranges);
+                            let base = lower_with_ranges(
+                                vars,
+                                layout,
+                                &region.body,
+                                index_range.as_slice(),
+                            );
                             if hot {
                                 fuse(&base)
                             } else {
@@ -696,10 +711,14 @@ fn simulate_schedule(
         // run has already committed earlier segments and written through
         // overflows, so degradation needs a pre-region snapshot to rewind
         // to. The real-thread runtime only writes memory back on success,
-        // so its failures leave memory untouched and need no snapshot.
+        // so its failures leave memory untouched and need no snapshot. The
+        // snapshot lives in the scratch, so taking it reuses the last one's
+        // allocation.
         let degrade_armed = cfg.governor.degrade_serially;
-        let snapshot =
-            (degrade_armed && cfg.runtime == SpecRuntime::Simulated).then(|| memory.clone());
+        let snapshot = degrade_armed && cfg.runtime == SpecRuntime::Simulated;
+        if snapshot {
+            scratch.save_snapshot(&memory);
+        }
         let run_result = match cfg.runtime {
             SpecRuntime::Simulated => Engine::new(
                 cfg,
@@ -730,8 +749,8 @@ fn simulate_schedule(
             Ok(r) => r,
             Err(err) => match err.degrade_reason() {
                 Some(reason) if degrade_armed => {
-                    if let Some(snap) = snapshot {
-                        memory = snap;
+                    if snapshot {
+                        scratch.rewind(&mut memory);
                     }
                     // The aborted engine may have left dependence-mask
                     // marks set; a degraded schedule continues on fresh
@@ -769,6 +788,7 @@ fn simulate_schedule(
         cfg,
         serial_span_key(proc, regions, regions.len(), cursor),
         &mut serial_tally,
+        &mut scratch.serial,
     )?;
     report.lowering_cache_hits += serial_tally.hits;
     report.lowering_cache_misses += serial_tally.misses;
@@ -938,6 +958,9 @@ pub fn run_program_sequential(
             cfg,
             serial_span_key(proc, &regions, i, cursor),
             &mut tally,
+            // Fresh buffers: the baseline's host time stays what it was
+            // before the engine pooled its executors.
+            &mut ExecBuffers::default(),
         )?;
         cursor = stmt_index + 1;
         let label = &labeled_region.analysis.spec.loop_label;
@@ -987,6 +1010,7 @@ pub fn run_program_sequential(
         cfg,
         serial_span_key(proc, &regions, regions.len(), cursor),
         &mut tally,
+        &mut ExecBuffers::default(),
     )?;
     let total_cycles = serial_cycles + region_cycles.iter().sum::<u64>();
     Ok(SeqProgramOutcome {
@@ -1689,6 +1713,133 @@ mod tests {
                 assert!(a.memory.diff(&b.memory, 8).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn one_scratch_pool_serves_every_benchmark_shape_bit_identically() {
+        // One pool shared by every call while the program (address-space
+        // size, environment length, stack depth, induction registers), the
+        // machine width, the capacity and the mode all change between
+        // consecutive calls. Every pooled run must equal a run on a pool of
+        // its own, including the first run after a degraded region threw
+        // its scratch away.
+        use crate::engine::ScratchPool;
+        use crate::fault::FaultPlan;
+        let benches = refidem_benchmarks::all_benchmarks();
+        assert_eq!(benches.len(), 14);
+        let labeled: Vec<_> = benches
+            .iter()
+            .map(|b| labeled_program(&b.program))
+            .collect();
+        let strip = |r: &ProgramReport| {
+            let mut r = r.clone();
+            r.lowering_cache_hits = 0;
+            r.lowering_cache_misses = 0;
+            r.lowering_cache_evictions = 0;
+            for region in &mut r.regions {
+                *region = no_cache_counters(region);
+            }
+            r
+        };
+        let shared = ScratchPool::fresh();
+        let cache = LoweredCache::fresh();
+        let mut order = Vec::new();
+        for processors in [1usize, 3, 8] {
+            for capacity in [1usize, 256] {
+                for mode in [ExecMode::Hose, ExecMode::Case] {
+                    // A stride coprime to 14 visits every benchmark once,
+                    // never two neighbours in a row.
+                    let start = order.len();
+                    for i in 0..benches.len() {
+                        order.push(((start + i * 5) % benches.len(), processors, capacity, mode));
+                    }
+                }
+            }
+        }
+        let words = |b: usize| Layout::new(&benches[b].program.procedures[0].vars).total_words();
+        let reshaped = order
+            .windows(2)
+            .filter(|w| words(w[0].0) != words(w[1].0))
+            .count();
+        assert!(
+            reshaped * 10 >= order.len() * 9,
+            "consecutive calls change shape"
+        );
+
+        let degrade = SimConfig::default()
+            .cache(cache.clone())
+            .processors(3)
+            .restart_budget(0)
+            .faults(FaultPlan {
+                seed: 7,
+                violation_permille: 1000,
+                ..FaultPlan::default()
+            });
+        let mut degraded = 0;
+        let mut check = |at: &str, b: usize, mode: ExecMode, cfg: &SimConfig| {
+            let (program, labeled) = (&benches[b].program, &labeled[b]);
+            let on = |pool: &ScratchPool| {
+                simulate_program(program, labeled, mode, &cfg.clone().scratch(pool.clone()))
+                    .unwrap()
+            };
+            let (pooled, fresh) = (on(&shared), on(&ScratchPool::fresh()));
+            assert_eq!(strip(&pooled.report), strip(&fresh.report), "{at}");
+            assert!(pooled.memory.diff(&fresh.memory, 8).is_empty(), "{at}");
+            degraded += pooled.report.degraded_regions().len();
+        };
+        for (n, &(b, processors, capacity, mode)) in order.iter().enumerate() {
+            let name = benches[b].name;
+            if n % 9 == 4 {
+                // Degrade a region on the shared pool (rewinding to the
+                // pooled snapshot); the next pooled run starts from the
+                // scratch the degraded one left behind.
+                check(&format!("{name} degraded"), b, ExecMode::Hose, &degrade);
+            }
+            let cfg = SimConfig::default()
+                .cache(cache.clone())
+                .processors(processors)
+                .capacity(capacity);
+            check(
+                &format!("{name} p{processors} c{capacity} {mode}"),
+                b,
+                mode,
+                &cfg,
+            );
+        }
+        assert!(degraded > 0, "the fault plan degrades regions");
+        assert_eq!(shared.len(), 1, "one scratch served every call");
+    }
+
+    #[test]
+    fn region_trip_counts_are_checked_before_allocating() {
+        // 2·10⁹ segments would need 16 GB of segment values: the trip count
+        // is refused in closed form, before anything is materialized.
+        let mut b = ProcBuilder::new("main");
+        let a = b.array("a", &[8]);
+        let k = b.index("k");
+        let s = b.assign_elem(a, vec![av(k)], num(1.0));
+        let region = b.do_loop_labeled("HUGE", k, ac(1), ac(2_000_000_000), vec![s]);
+        let mut p = Program::new("huge");
+        p.add_procedure(b.build(vec![region]));
+        let Stmt::Loop(l) = &p.procedures[0].body[0] else {
+            unreachable!("one loop")
+        };
+        let err = region_iteration_values(&p.procedures[0].vars, l).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Region("region trip count too large".to_string())
+        );
+        // At the limit the values come out exact, at exact capacity.
+        let mut b = ProcBuilder::new("main");
+        let k = b.index("k");
+        let region = b.do_loop_step(Some("DOWN"), k, ac(10), ac(-5), -4, vec![]);
+        let proc = b.build(vec![region]);
+        let Stmt::Loop(l) = &proc.body[0] else {
+            unreachable!("one loop")
+        };
+        let values = region_iteration_values(&proc.vars, l).unwrap();
+        assert_eq!(values, vec![10, 6, 2, -2]);
+        assert_eq!(values.capacity(), values.len());
     }
 
     #[test]

@@ -205,23 +205,36 @@ impl SpecBuffer {
         }
     }
 
+    /// Values written by the segment, in touch order, borrowed straight
+    /// from the journal (no allocation). The journal holds each address at
+    /// most once, so storing these in any order leaves the same memory —
+    /// which is how the engine commits in place.
+    pub fn written(&self) -> impl Iterator<Item = (Addr, f64)> + '_ {
+        debug_assert!(
+            self.journal.iter().enumerate().all(|(pos, (a, _))| {
+                let slot = self.index[*a as usize];
+                slot.stamp == self.epoch && slot.pos as usize == pos
+            }),
+            "journal addresses must be unique"
+        );
+        self.journal
+            .iter()
+            .filter(|(_, e)| e.written)
+            .map(|(a, e)| (Addr(*a), e.value))
+    }
+
     /// Values written by the segment, in address order (what a commit
     /// transfers to non-speculative storage). Iterates the journal, never
     /// the address space.
     pub fn dirty_entries(&self) -> Vec<(Addr, f64)> {
-        let mut dirty: Vec<(Addr, f64)> = self
-            .journal
-            .iter()
-            .filter(|(_, e)| e.written)
-            .map(|(a, e)| (Addr(*a), e.value))
-            .collect();
+        let mut dirty: Vec<(Addr, f64)> = self.written().collect();
         dirty.sort_unstable_by_key(|(a, _)| *a);
         dirty
     }
 
     /// Number of dirty entries.
     pub fn dirty_count(&self) -> usize {
-        self.journal.iter().filter(|(_, e)| e.written).count()
+        self.written().count()
     }
 
     /// Addresses touched in the current epoch, in touch order (the engine
@@ -403,6 +416,65 @@ mod tests {
             dirty,
             vec![(Addr(5), 1.0), (Addr(20), 2.0), (Addr(30), 3.0)]
         );
+    }
+
+    #[test]
+    fn in_place_commit_matches_the_sorted_dirty_entries() {
+        use refidem_ir::memory::{Layout, Memory};
+        use refidem_ir::var::{VarKind, VarTable};
+        let mut vars = VarTable::new();
+        vars.declare(
+            "m",
+            VarKind::Array {
+                dims: vec![WORDS as usize],
+            },
+        );
+        let layout = Layout::new(&vars);
+        let initial = Memory::init_with(&layout, |a| a.0 as f64 + 0.25);
+        // A mixed journal in scrambled touch order: read-only entries,
+        // read-then-write, a rewrite and a read after a local write.
+        let mut b = SpecBuffer::new(16, WORDS);
+        b.record_exposed_read(Addr(40), 4.0, 1);
+        b.record_write(Addr(9), 1.0, 2);
+        b.record_exposed_read(Addr(3), 3.0, 3);
+        b.record_write(Addr(40), 5.0, 4);
+        b.record_write(Addr(9), 1.5, 5);
+        b.record_write(Addr(21), 2.0, 6);
+        b.record_exposed_read(Addr(21), 7.0, 7);
+        b.record_write(Addr(0), 8.0, 8);
+
+        let mut in_place = initial.clone();
+        for (addr, value) in b.written() {
+            in_place.store(addr, value);
+        }
+        let mut sorted = initial.clone();
+        for (addr, value) in b.dirty_entries() {
+            sorted.store(addr, value);
+        }
+        assert_eq!(in_place, sorted);
+        assert_eq!(b.written().count(), b.dirty_count());
+        let changed: Vec<u64> = initial
+            .diff(&in_place, usize::MAX)
+            .iter()
+            .map(|(a, _, _)| a.0)
+            .collect();
+        assert_eq!(
+            changed,
+            vec![0, 9, 21, 40],
+            "read-only entries never commit"
+        );
+        assert_eq!(in_place.load(Addr(9)), 1.5, "the last write wins");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "journal addresses must be unique")]
+    fn a_duplicate_journal_address_trips_the_debug_assertion() {
+        let mut b = SpecBuffer::new(4, WORDS);
+        b.record_write(Addr(5), 1.0, 1);
+        let duplicate = b.journal[0];
+        b.journal.push(duplicate);
+        let _ = b.written().count();
     }
 
     #[test]
