@@ -57,6 +57,7 @@ use refidem_ir::sites::{AccessKind, LoopContext, RefSite, RefTable};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The kind of a data dependence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -97,11 +98,14 @@ pub struct Dependence {
 }
 
 /// The set of may-dependences of one region.
+///
+/// The contents are shared copy-on-write: `clone` bumps reference counts,
+/// and adding a dependence copies only a set that is still shared.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DependenceSet {
-    deps: Vec<Dependence>,
-    sink_index: BTreeMap<RefId, Vec<usize>>,
-    source_index: BTreeMap<RefId, Vec<usize>>,
+    deps: Arc<Vec<Dependence>>,
+    sink_index: Arc<BTreeMap<RefId, Vec<usize>>>,
+    source_index: Arc<BTreeMap<RefId, Vec<usize>>>,
 }
 
 impl DependenceSet {
@@ -133,9 +137,15 @@ impl DependenceSet {
 
     fn push(&mut self, d: Dependence) {
         let idx = self.deps.len();
-        self.sink_index.entry(d.sink).or_default().push(idx);
-        self.source_index.entry(d.source).or_default().push(idx);
-        self.deps.push(d);
+        Arc::make_mut(&mut self.sink_index)
+            .entry(d.sink)
+            .or_default()
+            .push(idx);
+        Arc::make_mut(&mut self.source_index)
+            .entry(d.source)
+            .or_default()
+            .push(idx);
+        Arc::make_mut(&mut self.deps).push(d);
     }
 
     /// Dependences whose sink is `r`.
@@ -411,9 +421,9 @@ impl DependenceSet {
                 .collect()
         };
         DependenceSet {
-            deps,
-            sink_index: fold(by_sink),
-            source_index: fold(by_source),
+            deps: Arc::new(deps),
+            sink_index: Arc::new(fold(by_sink)),
+            source_index: Arc::new(fold(by_source)),
         }
     }
 }
@@ -707,7 +717,7 @@ impl<'a> Tester<'a> {
             .region_bounds
             .get(self.region.index)
             .unwrap_or((i64::MIN / 4, i64::MAX / 4));
-        let max_trip = (khi - klo + 1).max(0) as usize;
+        let max_trip = LoopStmt::trip_count(klo, khi, 1);
         let relation = |lvl: usize| -> LevelRelation {
             use std::cmp::Ordering::*;
             match lvl.cmp(&level) {
@@ -733,7 +743,7 @@ impl<'a> Tester<'a> {
         for (i, l) in common.iter().enumerate() {
             let bounds = bounds_a.get(l.index).or_else(|| bounds_b.get(l.index));
             let (lo, hi) = bounds.unwrap_or((i64::MIN / 4, i64::MAX / 4));
-            let trip = (hi - lo + 1).max(0) as usize;
+            let trip = LoopStmt::trip_count(lo, hi, 1);
             self.bind_level(
                 &mut alloc,
                 &mut map_a,
@@ -820,7 +830,7 @@ impl<'a> Tester<'a> {
                     return None;
                 }
                 let meta = alloc.fresh(bounds.0, bounds.1);
-                let t = alloc.fresh(1, max_trip as i64 - 1);
+                let t = alloc.fresh(1, i64::try_from(max_trip - 1).unwrap_or(i64::MAX));
                 *distance_var = Some(t);
                 map_a.insert(index, AffineExpr::var(meta));
                 map_b.insert(

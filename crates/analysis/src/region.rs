@@ -24,6 +24,7 @@ use refidem_ir::program::{Procedure, Program, RegionSpec};
 use refidem_ir::sites::RefTable;
 use refidem_ir::stmt::{IfStmt, LoopStmt, Stmt};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Errors produced while analyzing a region.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,8 +63,9 @@ impl std::error::Error for AnalysisError {}
 pub struct RegionAnalysis {
     /// The analyzed region.
     pub spec: RegionSpec,
-    /// The region's loop statement (cloned out of the program).
-    pub loop_stmt: LoopStmt,
+    /// The region's loop statement (cloned out of the program once; clones
+    /// of the analysis share it).
+    pub loop_stmt: Arc<LoopStmt>,
     /// Reference table of the loop body.
     pub table: RefTable,
     /// Body summary (exposed reads, must writes, …) of one iteration.
@@ -145,7 +147,7 @@ impl RegionAnalysis {
             });
         Ok(RegionAnalysis {
             spec,
-            loop_stmt: region.clone(),
+            loop_stmt: Arc::new(region.clone()),
             table,
             summary,
             deps,

@@ -35,6 +35,7 @@ use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Facts about one write site gathered by the body walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,10 +115,10 @@ impl VarSummary {
 }
 
 /// Summary of one segment body (one iteration of a region loop, or one
-/// abstract segment).
+/// abstract segment). Immutable once built, so clones share it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BodySummary {
-    per_var: BTreeMap<VarId, VarSummary>,
+    per_var: Arc<BTreeMap<VarId, VarSummary>>,
 }
 
 impl BodySummary {
@@ -180,7 +181,9 @@ impl BodySummary {
                 }
             }
         }
-        BodySummary { per_var }
+        BodySummary {
+            per_var: Arc::new(per_var),
+        }
     }
 }
 

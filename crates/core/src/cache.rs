@@ -343,6 +343,57 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_clone_shares_storage_with_the_cached_entry() {
+        let cache = AnalysisCache::fresh();
+        let program = two_region_program();
+        let spec = program.find_region("R1").expect("region");
+        let cached = cache.label_region_cached(&program, &spec).expect("labels");
+        let hit = cache.label_region_cached(&program, &spec).expect("labels");
+        assert!(hit.hit);
+        // What every cache user does with a hit: clone the bundle out.
+        let clone = LabeledRegion::clone(&hit.region);
+        let (a, b) = (&cached.region.analysis, &clone.analysis);
+        assert!(std::ptr::eq(a.table.sites(), b.table.sites()));
+        assert!(std::ptr::eq(a.deps.deps(), b.deps.deps()));
+        assert!(Arc::ptr_eq(&a.loop_stmt, &b.loop_stmt));
+        assert_eq!(clone.labeling, cached.region.labeling);
+    }
+
+    #[test]
+    fn mutating_a_hit_clone_copies_instead_of_reaching_the_cache() {
+        use crate::label::{label_region, Label};
+        let cache = AnalysisCache::fresh();
+        let program = two_region_program();
+        let spec = program.find_region("R1").expect("region");
+        let fresh = label_region(
+            &cache
+                .label_region_cached(&program, &spec)
+                .unwrap()
+                .region
+                .analysis,
+        );
+        let mut clone =
+            LabeledRegion::clone(&cache.label_region_cached(&program, &spec).unwrap().region);
+        assert!(clone
+            .labeling
+            .is_idempotent(clone.analysis.table.sites()[0].id));
+        clone
+            .labeling
+            .retain_idempotent(&std::collections::BTreeSet::new());
+        for site in clone.analysis.table.sites() {
+            clone.labeling.override_label(site.id, Label::Speculative);
+        }
+        assert_ne!(clone.labeling, fresh);
+        let again = cache.label_region_cached(&program, &spec).expect("labels");
+        assert!(again.hit);
+        assert_eq!(
+            again.region.labeling, fresh,
+            "the cached labeling is untouched"
+        );
+        assert_eq!(label_region(&again.region.analysis), fresh);
+    }
+
+    #[test]
     fn the_global_is_shared_at_the_default_capacity() {
         assert_eq!(AnalysisCache::default(), AnalysisCache::global());
         assert_ne!(AnalysisCache::fresh(), AnalysisCache::global());

@@ -30,6 +30,7 @@ use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::program::{Program, RegionSpec};
 use refidem_ir::sites::AccessKind;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The idempotency categories of Section 4.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,14 +116,19 @@ pub struct LabelInput {
 }
 
 /// The result of Algorithm 2: a label for every reference site.
+///
+/// The per-site maps are shared copy-on-write: `clone` bumps reference
+/// counts, and [`retain_idempotent`](Self::retain_idempotent) /
+/// [`override_label`](Self::override_label) copy only maps that are still
+/// shared, so mutating a clone never reaches the original.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Labeling {
     /// Region name.
     pub region_name: String,
     /// Lemma 7 applied (every reference idempotent).
     pub fully_independent: bool,
-    labels: BTreeMap<RefId, Label>,
-    access: BTreeMap<RefId, AccessKind>,
+    labels: Arc<BTreeMap<RefId, Label>>,
+    access: Arc<BTreeMap<RefId, AccessKind>>,
 }
 
 impl Labeling {
@@ -163,7 +169,7 @@ impl Labeling {
     /// bypass); this is used by the label-category ablation study.
     pub fn retain_idempotent(&mut self, keep: &std::collections::BTreeSet<RefId>) {
         self.fully_independent = false;
-        for (id, label) in self.labels.iter_mut() {
+        for (id, label) in Arc::make_mut(&mut self.labels).iter_mut() {
             if label.is_idempotent() && !keep.contains(id) {
                 *label = Label::Speculative;
             }
@@ -177,7 +183,7 @@ impl Labeling {
     /// prove its differential runner and shrinker detect bad labels).
     pub fn override_label(&mut self, r: RefId, label: Label) {
         self.fully_independent = false;
-        self.labels.insert(r, label);
+        Arc::make_mut(&mut self.labels).insert(r, label);
     }
 
     /// Static labeling statistics (per syntactic reference site).
@@ -238,8 +244,8 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
         return Labeling {
             region_name: input.region_name.clone(),
             fully_independent: true,
-            labels,
-            access,
+            labels: Arc::new(labels),
+            access: Arc::new(access),
         };
     }
 
@@ -314,8 +320,8 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
     Labeling {
         region_name: input.region_name.clone(),
         fully_independent: false,
-        labels,
-        access,
+        labels: Arc::new(labels),
+        access: Arc::new(access),
     }
 }
 

@@ -11,6 +11,7 @@ use crate::expr::Reference;
 use crate::ids::{RefId, StmtId, VarId};
 use crate::stmt::Stmt;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Whether a reference site reads or writes memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,10 +79,14 @@ impl RefSite {
 }
 
 /// The table of all reference sites of a scope (usually a region body).
+///
+/// The contents are shared copy-on-write: `clone` bumps reference counts
+/// (a cached region analysis is cloned on every cache hit), and
+/// [`push`](Self::push) copies only a table that is still shared.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RefTable {
-    sites: Vec<RefSite>,
-    by_id: BTreeMap<RefId, usize>,
+    sites: Arc<Vec<RefSite>>,
+    by_id: Arc<BTreeMap<RefId, usize>>,
 }
 
 impl RefTable {
@@ -102,8 +107,8 @@ impl RefTable {
     /// Adds a site (used by the walker and by tests constructing tables by
     /// hand).
     pub fn push(&mut self, site: RefSite) {
-        self.by_id.insert(site.id, self.sites.len());
-        self.sites.push(site);
+        Arc::make_mut(&mut self.by_id).insert(site.id, self.sites.len());
+        Arc::make_mut(&mut self.sites).push(site);
     }
 
     /// All sites in collection order.

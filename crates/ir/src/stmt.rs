@@ -62,23 +62,20 @@ pub struct LoopStmt {
 }
 
 impl LoopStmt {
-    /// Number of iterations for concrete bound values `lower..=upper`.
+    /// Number of iterations for concrete bound values `lower..=upper`,
+    /// saturating at `usize::MAX`. The distance between two `i64` bounds
+    /// can exceed `i64::MAX`, so the count is computed in `i128`.
     pub fn trip_count(lower: i64, upper: i64, step: i64) -> usize {
-        if step > 0 {
-            if upper < lower {
-                0
-            } else {
-                ((upper - lower) / step + 1) as usize
-            }
-        } else if step < 0 {
-            if upper > lower {
-                0
-            } else {
-                ((lower - upper) / (-step) + 1) as usize
-            }
-        } else {
-            0
+        let (lower, upper, step) = (i128::from(lower), i128::from(upper), i128::from(step));
+        let span = match step.signum() {
+            1 => upper - lower,
+            -1 => lower - upper,
+            _ => return 0,
+        };
+        if span < 0 {
+            return 0;
         }
+        usize::try_from(span / step.abs() + 1).unwrap_or(usize::MAX)
     }
 }
 
@@ -207,6 +204,23 @@ mod tests {
         assert_eq!(LoopStmt::trip_count(5, 4, 1), 0);
         assert_eq!(LoopStmt::trip_count(4, 5, -1), 0);
         assert_eq!(LoopStmt::trip_count(1, 10, 0), 0);
+    }
+
+    #[test]
+    fn trip_count_is_exact_or_saturated_on_extreme_bounds() {
+        let half = 1usize << 63;
+        // The full i64 range has 2^64 values: one more than usize::MAX.
+        assert_eq!(LoopStmt::trip_count(i64::MIN, i64::MAX, 1), usize::MAX);
+        assert_eq!(LoopStmt::trip_count(i64::MAX, i64::MIN, -1), usize::MAX);
+        assert_eq!(LoopStmt::trip_count(i64::MIN, i64::MAX, 2), half);
+        assert_eq!(LoopStmt::trip_count(0, i64::MAX, 1), half);
+        assert_eq!(LoopStmt::trip_count(i64::MIN, -1, 1), half);
+        assert_eq!(LoopStmt::trip_count(i64::MIN, i64::MAX, i64::MAX), 3);
+        assert_eq!(LoopStmt::trip_count(i64::MAX, i64::MIN, i64::MIN), 2);
+        assert_eq!(LoopStmt::trip_count(i64::MAX, i64::MAX, i64::MAX), 1);
+        assert_eq!(LoopStmt::trip_count(i64::MAX, i64::MIN, 1), 0);
+        assert_eq!(LoopStmt::trip_count(i64::MIN, i64::MAX, -1), 0);
+        assert_eq!(LoopStmt::trip_count(i64::MIN, i64::MAX, 0), 0);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{DataStore, ExecError, SegmentExec};
+use refidem_ir::expr::Expr;
 use refidem_ir::ids::RefId;
 use refidem_ir::lowered::{ExecBackend, ExecBuffers, LoweredProc, LoweredSegmentExec};
 use refidem_ir::memory::{Addr, Layout, Memory};
@@ -63,20 +64,31 @@ impl AnyExec<'_> {
     }
 }
 
-/// One in-flight segment's mutable state. The scheduling fields the
-/// engine's per-statement scan reads (`seg`, `clock`, `done`, `stalled`)
-/// are laid out first so the scan touches one cache line per slot.
-#[derive(Clone, Debug)]
-#[repr(C)]
-struct SlotData {
+/// One processor's scheduling state: everything the engine's
+/// per-statement scan reads, packed into a dense per-processor array so the
+/// scan never strides over the slots' storage buffers.
+#[derive(Clone, Copy, Debug, Default)]
+struct Sched {
     /// Segment number in execution (commit) order, 0-based.
     seg: usize,
     /// Local clock (cycles since region entry).
     clock: u64,
+    /// A segment occupies the processor (from dispatch to commit or
+    /// discard). The processor's resident slot is invisible otherwise.
+    live: bool,
     /// The segment has executed its last statement (waiting to commit).
     done: bool,
     /// The segment overflowed as a non-head and waits to become the head.
     stalled: bool,
+}
+
+/// One processor's resident segment state: the in-flight segment's
+/// remaining flags plus its storage buffers. The slot stays in place
+/// across segments, regions and (through the pooled scratch) calls:
+/// dispatch resets its flags, and commit, discard and roll-back clear its
+/// buffers, so a processor's dense buffers are allocated once.
+#[derive(Clone, Debug, Default)]
+struct SlotData {
     /// A violation requested this segment's roll-back.
     squash_requested: bool,
     /// An overflow was detected mid-statement; the rest of the statement's
@@ -100,6 +112,40 @@ struct SlotData {
     private: PrivateStore,
 }
 
+impl SlotData {
+    /// Re-targets a clear slot's buffers at a machine shape in place.
+    fn prepare(&mut self, capacity: usize, words: u64) {
+        self.spec.retarget(capacity, words);
+        self.private.retarget(words);
+    }
+
+    /// Resets the per-attempt flags (dispatch and every restart).
+    fn reset_attempt(&mut self) {
+        self.squash_requested = false;
+        self.squash_not_before = 0;
+        self.overflow_poisoned = false;
+        self.cond_checked = false;
+        self.term_pending = false;
+    }
+
+    /// Requests this segment's roll-back, effective no earlier than
+    /// `not_before`.
+    #[inline]
+    fn request_squash(&mut self, not_before: u64) {
+        self.squash_requested = true;
+        self.squash_not_before = self.squash_not_before.max(not_before);
+    }
+}
+
+/// Reuses the allocation of an emptied vector for another element type of
+/// the same layout — how the pooled executor vector changes its borrow
+/// lifetime between regions (the standard library's in-place `collect`
+/// keeps the buffer when the layouts match).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
 /// Per-address presence masks over the in-flight slots: bit `p` of
 /// `write[a]` / `read[a]` is set when processor `p`'s buffer holds a
 /// written / exposed-read entry for address `a`. The common case — no
@@ -114,32 +160,20 @@ struct DepMasks {
 }
 
 impl DepMasks {
-    fn new(processors: usize, words: u64) -> Self {
-        let enabled = processors <= 32;
-        let n = if enabled { words as usize } else { 0 };
-        DepMasks {
-            write: vec![0; n],
-            read: vec![0; n],
-            enabled,
-        }
-    }
-
-    /// Re-targets pooled masks at a machine shape, reallocating only when
-    /// the address-space size or the enablement changes. A clean engine run
-    /// retracts every mark it sets (on commit, roll-back and overflow
-    /// restart), so reused arrays are already all-zero — debug builds
-    /// verify that instead of paying an unconditional clear.
+    /// Re-targets pooled masks at a machine shape, resizing the arrays in
+    /// place. A clean engine run retracts every mark it sets (on commit,
+    /// roll-back and overflow restart), so reused arrays are already
+    /// all-zero and resizing keeps them so — debug builds verify that
+    /// instead of paying an unconditional clear.
     fn prepare(&mut self, processors: usize, words: u64) {
-        let enabled = processors <= 32;
-        let n = if enabled { words as usize } else { 0 };
-        if self.enabled != enabled || self.write.len() != n {
-            *self = DepMasks::new(processors, words);
-            return;
-        }
         debug_assert!(
             self.write.iter().all(|&m| m == 0) && self.read.iter().all(|&m| m == 0),
             "pooled dependence masks must come back clean"
         );
+        self.enabled = processors <= 32;
+        let n = if self.enabled { words as usize } else { 0 };
+        self.write.resize(n, 0);
+        self.read.resize(n, 0);
     }
 
     /// Clears processor `p`'s bits for every address in `spec`'s journal
@@ -194,23 +228,25 @@ impl DepMasks {
 /// the config's [`ScratchPool`]. It pools:
 ///
 /// * the per-address dependence masks;
-/// * one retired [`SpecBuffer`]/[`PrivateStore`] pair per processor, so
-///   the dense shadow arrays are allocated once per processor, not once
-///   per segment;
-/// * one set of segment-executor buffers per processor
-///   ([`ExecBuffers`]): within a region a committed segment's executor is
-///   rebound to the next segment on its processor, and a successful run
-///   parks the buffers here for the next region or call — plus one set
-///   for the serial spans between regions;
-/// * the engine's slot vector;
+/// * one resident slot per processor — the segment flags plus its
+///   [`SpecBuffer`]/[`PrivateStore`] pair — so the dense shadow arrays are
+///   allocated once per processor, not once per segment: dispatch resets
+///   the slot in place, and commit retracts its mask marks and clears it;
+/// * the dense scheduler array (each processor's segment, clock and
+///   live/done/stalled flags) that the per-statement scan reads;
+/// * the executor vector, and one set of segment-executor buffers per
+///   processor ([`ExecBuffers`]): within a region a committed segment's
+///   executor is rebound to the next segment on its processor, and a
+///   successful run parks the buffers here for the next region or call —
+///   plus one set for the serial spans between regions;
+/// * the CASE label table, refilled from each region's labeling;
 /// * the pre-region memory snapshot that serial degradation rewinds to,
 ///   refilled in place with [`Memory::clone_from`].
 ///
-/// Every buffer is re-sized for the next machine shape or program, so a
-/// scratch may move freely between programs, processor counts and
+/// Every buffer is resized in place for the next machine shape or program,
+/// so a scratch may move freely between programs, processor counts and
 /// capacities. Outside the scratch, a call still allocates its layout,
-/// initial memory and report, and each region its segment values,
-/// executor vector and CASE label table.
+/// initial memory and report, and each region its segment values.
 ///
 /// Obtain one from a [`ScratchPool`] with [`ScratchPool::take`] and hand it
 /// back with [`ScratchPool::restore`] after a *successful* run; on error,
@@ -218,17 +254,20 @@ impl DepMasks {
 /// simply rebuilt on the next take).
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    /// Retired storage buffers, reused by the next segment dispatched onto
-    /// the same processor.
-    spare: Vec<Option<(SpecBuffer, PrivateStore)>>,
+    /// Resident per-processor slots (all clear between runs).
+    slots: Vec<SlotData>,
+    /// The dense scheduler array, one entry per processor of the last run.
+    sched: Vec<Sched>,
     /// Cross-slot dependence presence masks (see [`DepMasks`]).
     masks: DepMasks,
+    /// The (empty) executor vector, kept for its allocation.
+    execs: Vec<Option<AnyExec<'static>>>,
     /// Parked executor buffers, one per processor.
     exec_bufs: Vec<ExecBuffers>,
     /// Executor buffers of the serial spans between regions.
     pub(crate) serial: ExecBuffers,
-    /// The engine's per-processor slot vector (all `None` between runs).
-    slots: Vec<Option<SlotData>>,
+    /// The dense label table of the last region.
+    labels: LabelTable,
     /// The pre-region snapshot of the last armed region.
     snapshot: Option<Memory>,
 }
@@ -253,32 +292,27 @@ impl EngineScratch {
         ScratchPool::global().restore(self);
     }
 
-    /// Re-targets the scratch at a machine shape, keeping every allocation
-    /// that still fits: masks reallocate only when the address-space size
-    /// changes, pooled buffers are revalidated (dropped on a word-count
-    /// mismatch, re-capacitied in place across ladder points).
+    /// Re-targets the scratch at a machine shape, keeping every allocation:
+    /// the masks and every resident slot's buffers are resized in place for
+    /// the address space and capacity. Slots and executor buffers of
+    /// processors beyond `processors` are kept for a later, wider run.
     fn prepare(&mut self, processors: usize, capacity: usize, words: u64) {
         self.masks.prepare(processors, words);
-        self.exec_bufs.resize_with(processors, ExecBuffers::default);
-        debug_assert!(
-            self.slots.iter().all(Option::is_none),
-            "pooled slots must come back empty"
-        );
-        self.slots.resize_with(processors, || None);
-        self.spare.resize_with(processors, || None);
-        for slot in &mut self.spare {
-            if let Some((spec, _)) = slot {
-                if spec.address_words() != words {
-                    *slot = None;
-                } else if spec.capacity() != capacity {
-                    // Retired buffers clear lazily (on dispatch); clear
-                    // eagerly here so the capacity change sees an empty
-                    // buffer.
-                    spec.clear();
-                    spec.set_capacity(capacity);
-                }
-            }
+        if self.exec_bufs.len() < processors {
+            self.exec_bufs.resize_with(processors, ExecBuffers::default);
         }
+        if self.slots.len() < processors {
+            self.slots.resize_with(processors, SlotData::default);
+        }
+        for slot in &mut self.slots[..processors] {
+            slot.prepare(capacity, words);
+        }
+        debug_assert!(
+            self.sched.iter().all(|s| !s.live),
+            "pooled slots must come back retired"
+        );
+        self.sched.clear();
+        self.sched.resize(processors, Sched::default());
     }
 
     /// Records `memory` as the pre-region snapshot, reusing the previous
@@ -382,6 +416,7 @@ impl ScratchPool {
 /// indexed by `RefId::index`. It is empty under HOSE, where every site is
 /// speculative; sites beyond the table default to `Speculative`, like
 /// `Labeling::label`.
+#[derive(Debug, Default)]
 pub(crate) struct LabelTable {
     labels: Vec<Label>,
     has_private: bool,
@@ -389,20 +424,26 @@ pub(crate) struct LabelTable {
 
 impl LabelTable {
     pub(crate) fn new(mode: ExecMode, labeling: &Labeling) -> Self {
-        let mut labels = Vec::new();
+        let mut table = LabelTable::default();
+        table.refill(mode, labeling);
+        table
+    }
+
+    /// Rebuilds the table for another region in place, keeping its
+    /// allocation.
+    pub(crate) fn refill(&mut self, mode: ExecMode, labeling: &Labeling) {
+        self.labels.clear();
         if mode == ExecMode::Case {
             for (site, label) in labeling.iter() {
-                if site.index() >= labels.len() {
-                    labels.resize(site.index() + 1, Label::Speculative);
+                if site.index() >= self.labels.len() {
+                    self.labels.resize(site.index() + 1, Label::Speculative);
                 }
-                labels[site.index()] = label;
+                self.labels[site.index()] = label;
             }
         }
-        let has_private = labels.contains(&Label::Idempotent(IdemCategory::Private));
-        LabelTable {
-            labels,
-            has_private,
-        }
+        self.has_private = self
+            .labels
+            .contains(&Label::Idempotent(IdemCategory::Private));
     }
 
     #[inline]
@@ -430,13 +471,23 @@ pub(crate) struct Engine<'p> {
     /// The region body compiled to bytecode (present on the lowered
     /// backend; compiled once per engine, shared by every segment).
     lowered: Option<&'p LoweredProc>,
+    /// The region's WHILE continuation condition (`None` for a counted
+    /// region), fixed for the whole run.
+    while_cond: Option<&'p Expr>,
+    /// Some fault is scheduled, fixed for the whole run.
+    faults_armed: bool,
     labels: LabelTable,
     iter_values: Vec<i64>,
 
     execs: Vec<Option<AnyExec<'p>>>,
-    slots: Vec<Option<SlotData>>,
+    /// Dense scheduler array, indexed by processor.
+    sched: Vec<Sched>,
+    /// Resident slots, indexed by processor (possibly longer than `sched`:
+    /// the pooled scratch keeps the slots of wider earlier runs).
+    slots: Vec<SlotData>,
     /// Pooled buffers + dependence masks, owned by the caller (see
-    /// [`EngineScratch`]).
+    /// [`EngineScratch`]). The vectors above are borrowed from it for the
+    /// run and handed back by a successful [`run`](Self::run).
     scratch: &'p mut EngineScratch,
     memory: &'p mut Memory,
     head: usize,
@@ -449,6 +500,13 @@ pub(crate) struct Engine<'p> {
     /// counter (see [`Governor`](crate::fault::Governor)).
     stmts_since_commit: u64,
     report: SimReport,
+}
+
+/// What one engine step executed: a body statement (and whether the
+/// segment has more), or a WHILE continuation check (and whether it held).
+enum Step {
+    Body { more: bool },
+    Cond { holds: bool },
 }
 
 impl<'p> Engine<'p> {
@@ -470,21 +528,25 @@ impl<'p> Engine<'p> {
         scratch: &'p mut EngineScratch,
         memory: &'p mut Memory,
     ) -> Self {
-        let labels = LabelTable::new(mode, labeling);
         let processors = cfg.processors.max(1);
         scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
-        // Borrowed from the scratch for the run; `run` hands it back.
-        let slots = std::mem::take(&mut scratch.slots);
+        let mut labels = std::mem::take(&mut scratch.labels);
+        labels.refill(mode, labeling);
+        let mut execs = recycle(std::mem::take(&mut scratch.execs));
+        execs.resize_with(processors, || None);
         Engine {
             cfg,
             vars,
             layout,
             region,
             lowered,
+            while_cond: region.while_cond.as_ref(),
+            faults_armed: !cfg.faults.is_empty(),
             labels,
             iter_values,
-            execs: (0..processors).map(|_| None).collect(),
-            slots,
+            execs,
+            sched: std::mem::take(&mut scratch.sched),
+            slots: std::mem::take(&mut scratch.slots),
             scratch,
             memory,
             head: 0,
@@ -504,7 +566,7 @@ impl<'p> Engine<'p> {
         let total = self.iter_values.len();
         self.report.segments = total;
         // Initial dispatch.
-        for p in 0..self.slots.len() {
+        for p in 0..self.sched.len() {
             if self.next_dispatch >= total {
                 break;
             }
@@ -513,39 +575,41 @@ impl<'p> Engine<'p> {
         while self.head < total && !self.terminated {
             let head_seg = self.head;
             let last_commit_time = self.last_commit_time;
-            // One pass over the (few) slots: locate the head (unstalling it
-            // if an overflow stalled it), find the runnable slot with the
-            // smallest clock (ties to the lowest processor index), and track
-            // the earliest clock of any runnable non-head segment. The head
-            // commits only once every other runnable segment has simulated
-            // past its finish time, so committed values do not become
-            // visible "in the past" of a segment that has not executed up
-            // to that point yet.
+            // One pass over the dense scheduler array: locate the head
+            // (unstalling it if an overflow stalled it), find the runnable
+            // slot with the smallest clock (ties to the lowest processor
+            // index), and track the earliest clock of any runnable non-head
+            // segment. The head commits only once every other runnable
+            // segment has simulated past its finish time, so committed
+            // values do not become visible "in the past" of a segment that
+            // has not executed up to that point yet.
             let mut head_state: Option<(usize, bool, u64)> = None;
             let mut runnable: Option<(usize, u64)> = None;
             let mut min_other = u64::MAX;
-            for (p, slot) in self.slots.iter_mut().enumerate() {
-                let Some(slot) = slot else { continue };
-                let is_head = slot.seg == head_seg;
-                if is_head {
-                    if slot.stalled {
-                        slot.stalled = false;
-                        slot.clock = slot.clock.max(last_commit_time);
-                    }
-                    head_state = Some((p, slot.done, slot.clock));
+            for (p, s) in self.sched.iter_mut().enumerate() {
+                if !s.live {
+                    continue;
                 }
-                if slot.done || slot.stalled {
+                let is_head = s.seg == head_seg;
+                if is_head {
+                    if s.stalled {
+                        s.stalled = false;
+                        s.clock = s.clock.max(last_commit_time);
+                    }
+                    head_state = Some((p, s.done, s.clock));
+                }
+                if s.done || s.stalled {
                     continue;
                 }
                 let better = match runnable {
                     None => true,
-                    Some((_, best)) => slot.clock < best,
+                    Some((_, best)) => s.clock < best,
                 };
                 if better {
-                    runnable = Some((p, slot.clock));
+                    runnable = Some((p, s.clock));
                 }
                 if !is_head {
-                    min_other = min_other.min(slot.clock);
+                    min_other = min_other.min(s.clock);
                 }
             }
             if let Some((p, true, finish)) = head_state {
@@ -563,15 +627,28 @@ impl<'p> Engine<'p> {
             }
         }
         self.report.region_cycles = self.last_commit_time;
-        // Park the executor buffers and the (now empty) slot vector for
-        // the next region or call.
-        for (bufs, exec) in self.scratch.exec_bufs.iter_mut().zip(self.execs) {
+        // Hand the pooled vectors back for the next region or call: the
+        // executor buffers, the (now all-retired) slots and scheduler
+        // array, the emptied executor vector and the label table.
+        let Engine {
+            scratch,
+            mut execs,
+            sched,
+            slots,
+            labels,
+            report,
+            ..
+        } = self;
+        for (bufs, exec) in scratch.exec_bufs.iter_mut().zip(execs.drain(..)) {
             if let Some(AnyExec::Lowered(exec)) = exec {
                 *bufs = exec.into_buffers();
             }
         }
-        self.scratch.slots = self.slots;
-        Ok(self.report)
+        scratch.execs = recycle(execs);
+        scratch.sched = sched;
+        scratch.slots = slots;
+        scratch.labels = labels;
+        Ok(report)
     }
 
     fn dispatch(&mut self, p: usize, start_time: u64) -> Result<(), SimError> {
@@ -581,36 +658,19 @@ impl<'p> Engine<'p> {
         if self.labels.has_private() {
             clock += self.cfg.private_setup_cost;
         }
-        // Reuse the storage retired by the previous segment on this
-        // processor (cleared in O(journal) via its epoch bump).
-        let (spec, private) = match self.scratch.spare[p].take() {
-            Some((mut spec, mut private)) => {
-                spec.clear();
-                private.clear();
-                (spec, private)
-            }
-            None => {
-                let words = self.layout.total_words();
-                (
-                    SpecBuffer::new(self.cfg.spec_capacity, words),
-                    PrivateStore::new(words),
-                )
-            }
-        };
-        self.slots[p] = Some(SlotData {
+        // The processor's resident slot was cleared when its previous
+        // segment retired; only the flags need a reset.
+        let slot = &mut self.slots[p];
+        debug_assert!(slot.spec.is_empty(), "a retired slot is left clear");
+        slot.reset_attempt();
+        slot.restarts = 0;
+        self.sched[p] = Sched {
             seg,
             clock,
-            spec,
-            private,
+            live: true,
             done: false,
             stalled: false,
-            squash_requested: false,
-            squash_not_before: 0,
-            overflow_poisoned: false,
-            restarts: 0,
-            cond_checked: false,
-            term_pending: false,
-        });
+        };
         let env = [(self.region.index, self.iter_values[seg])];
         let exec = &mut self.execs[p];
         match (exec.as_mut(), self.cfg.backend) {
@@ -655,161 +715,115 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
+    /// Deterministic fault injection, non-head segments only: the head is
+    /// non-speculative and cannot misspeculate (which also keeps the
+    /// one-processor degenerate case injection-free, preserving its
+    /// zero-violation invariant). Every injection restarts the segment and
+    /// thereby bumps its attempt number, so each (segment, attempt)
+    /// decision fires at most once. Returns true when an injection consumed
+    /// the step.
+    fn inject_fault(&mut self, p: usize) -> Result<bool, SimError> {
+        let Sched {
+            seg, clock: now, ..
+        } = self.sched[p];
+        let attempt = self.slots[p].restarts;
+        if seg == self.head {
+            return Ok(false);
+        }
+        if self.cfg.faults.force_violation(seg, attempt) {
+            // Mirror a real flow violation: flag it and squash this
+            // segment plus every younger in-flight one.
+            self.report.violations += 1;
+            for (s, slot) in self.sched.iter().zip(&mut self.slots) {
+                if s.live && s.seg >= seg {
+                    slot.request_squash(now);
+                }
+            }
+            self.process_squashes(now)?;
+            return Ok(true);
+        }
+        if self.cfg.faults.spurious_bump(seg, attempt) {
+            // A squash with no underlying violation — counted as a
+            // rollback, like the generation bump it models.
+            self.restart_slot(p, now + self.cfg.rollback_penalty, true)?;
+            return Ok(true);
+        }
+        if self.cfg.faults.force_overflow(seg, attempt) {
+            self.report.overflow_stalls += 1;
+            self.restart_slot(p, now, false)?;
+            self.sched[p].stalled = true;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Advances the segment on processor `p` by one statement unit: a body
+    /// statement, or — first in every attempt of a WHILE region's segment —
+    /// the continuation check.
     fn step_slot(&mut self, p: usize) -> Result<(), SimError> {
-        {
-            let slot = self.slots[p].as_mut().expect("slot present");
-            slot.clock += self.cfg.stmt_cost;
-        }
-        // Deterministic fault injection, non-head segments only: the head
-        // is non-speculative and cannot misspeculate (which also keeps the
-        // one-processor degenerate case injection-free, preserving its
-        // zero-violation invariant). Every injection restarts the segment
-        // and thereby bumps its attempt number, so each (segment, attempt)
-        // decision fires at most once.
-        if !self.cfg.faults.is_empty() {
-            let (seg, attempt, now) = {
-                let slot = self.slots[p].as_ref().expect("slot");
-                (slot.seg, slot.restarts, slot.clock)
-            };
-            if seg != self.head {
-                if self.cfg.faults.force_violation(seg, attempt) {
-                    // Mirror a real flow violation: flag it and squash
-                    // this segment plus every younger in-flight one.
-                    self.report.violations += 1;
-                    for slot in self.slots.iter_mut().flatten() {
-                        if slot.seg >= seg {
-                            slot.squash_requested = true;
-                            slot.squash_not_before = slot.squash_not_before.max(now);
-                        }
-                    }
-                    self.process_squashes(now)?;
-                    return Ok(());
-                }
-                if self.cfg.faults.spurious_bump(seg, attempt) {
-                    // A squash with no underlying violation — counted as a
-                    // rollback, like the generation bump it models.
-                    self.restart_slot(p, now + self.cfg.rollback_penalty, true)?;
-                    return Ok(());
-                }
-                if self.cfg.faults.force_overflow(seg, attempt) {
-                    self.report.overflow_stalls += 1;
-                    self.restart_slot(p, now, false)?;
-                    let slot = self.slots[p].as_mut().expect("slot");
-                    slot.stalled = true;
-                    return Ok(());
-                }
-            }
-        }
-        // A WHILE region's continuation check: evaluated as one statement
-        // unit before the segment's body, through the same labeled access
-        // path (and therefore the same latencies, dependence tracking,
-        // overflow handling) as any other statement of the segment.
-        let needs_cond = self.region.while_cond.is_some()
-            && self.slots[p]
-                .as_ref()
-                .is_some_and(|s| !s.cond_checked && !s.done);
-        if needs_cond {
-            let head = self.head;
-            let violations_before = self.report.violations;
-            let Engine {
-                slots,
-                scratch,
-                memory,
-                report,
-                cfg,
-                labels,
-                vars,
-                layout,
-                region,
-                iter_values,
-                ..
-            } = self;
-            let seg = slots[p].as_ref().expect("slot").seg;
-            let env = [(region.index, iter_values[seg])];
-            let cond = region.while_cond.as_ref().expect("while region");
-            let mut ctx = AccessCtx {
-                cfg,
-                labels,
-                memory,
-                slots,
-                masks: &mut scratch.masks,
-                report,
-                p,
-                head,
-            };
-            let value = SegmentExec::eval_expr(vars, layout, &env, cond, &mut ctx)
-                .map_err(SimError::Exec)?;
-            self.report.statements += 1;
-            self.stmts_since_commit += 1;
-            if self.stmts_since_commit > self.cfg.governor.livelock_statements {
-                return Err(SimError::Livelock {
-                    statements: self.stmts_since_commit,
-                });
-            }
-            let (now, occ) = {
-                let slot = self.slots[p].as_ref().expect("slot");
-                (slot.clock, slot.spec.len())
-            };
-            self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
-            // A speculative read in the check can find that an older
-            // segment already wrote its address (a premature read). Roll
-            // back the flagged segments before acting on the stale value,
-            // exactly as after a body statement. The reader is among them,
-            // so it re-evaluates the check after its restart.
-            if self.report.violations != violations_before {
-                self.process_squashes(now)?;
-                return Ok(());
-            }
-            // A tracked read can also overflow the speculative buffer.
-            let poisoned = self.slots[p]
-                .as_ref()
-                .map(|s| s.overflow_poisoned)
-                .unwrap_or(false);
-            if poisoned {
-                self.restart_slot(p, now, false)?;
-                let slot = self.slots[p].as_mut().expect("slot");
-                slot.stalled = true;
-                return Ok(());
-            }
-            let slot = self.slots[p].as_mut().expect("slot");
-            if value == 0.0 {
-                // Dynamic end of the region: this segment executes no body
-                // statement and, once it commits in order, discards every
-                // younger segment.
-                slot.term_pending = true;
-                slot.done = true;
-            } else {
-                slot.cond_checked = true;
-            }
+        self.sched[p].clock += self.cfg.stmt_cost;
+        if self.faults_armed && self.inject_fault(p)? {
             return Ok(());
         }
-        // Split borrows: the executor lives in `execs`, the store context
-        // borrows the sibling fields, so no per-statement move of the
-        // executor is needed.
-        let head = self.head;
         let violations_before = self.report.violations;
+        // A WHILE region's continuation check is evaluated as one statement
+        // unit before the segment's body, through the same labeled access
+        // path (and therefore the same latencies, dependence tracking and
+        // overflow handling) as any other statement of the segment.
+        let cond = self.while_cond.filter(|_| !self.slots[p].cond_checked);
+        // Split borrows: the executor lives in `execs`, the access context
+        // borrows the sibling fields — the stepping slot once, its peers
+        // around it — for the whole step.
         let Engine {
+            cfg,
+            vars,
+            layout,
+            region,
+            labels,
+            iter_values,
             execs,
+            sched,
             slots,
             scratch,
             memory,
             report,
-            cfg,
-            labels,
+            head,
             ..
         } = self;
-        let exec = execs[p].as_mut().expect("exec present for runnable slot");
+        let Sched { seg, clock, .. } = sched[p];
+        let (before, rest) = slots.split_at_mut(p);
+        let (own, after) = rest.split_first_mut().expect("slot of a live processor");
         let mut ctx = AccessCtx {
             cfg,
             labels,
             memory,
-            slots,
             masks: &mut scratch.masks,
             report,
+            sched,
+            before,
+            own,
+            after,
             p,
-            head,
+            seg,
+            is_head: seg == *head,
+            clock,
         };
-        let more = exec.step(&mut ctx).map_err(SimError::Exec)?;
+        let step = match cond {
+            Some(cond) => {
+                let env = [(region.index, iter_values[seg])];
+                SegmentExec::eval_expr(vars, layout, &env, cond, &mut ctx).map(|value| Step::Cond {
+                    holds: value != 0.0,
+                })
+            }
+            None => execs[p]
+                .as_mut()
+                .expect("exec present for runnable slot")
+                .step(&mut ctx)
+                .map(|more| Step::Body { more }),
+        }
+        .map_err(SimError::Exec)?;
+        let now = ctx.clock;
+        sched[p].clock = now;
         self.report.statements += 1;
         self.stmts_since_commit += 1;
         if self.stmts_since_commit > self.cfg.governor.livelock_statements {
@@ -817,45 +831,53 @@ impl<'p> Engine<'p> {
                 statements: self.stmts_since_commit,
             });
         }
-        let (now, occ) = {
-            let slot = self.slots[p].as_mut().expect("slot");
-            if !more {
-                slot.done = true;
-            }
-            (slot.clock, slot.spec.len())
-        };
+        if let Step::Body { more: false } = step {
+            self.sched[p].done = true;
+        }
         // Track peak speculative-storage occupancy.
+        let occ = self.slots[p].spec.len();
         self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
         // Roll back segments flagged by violations during this statement
         // (squash requests are only ever set together with a violation, so
-        // an unchanged count means there is nothing to process).
+        // an unchanged count means there is nothing to process). A
+        // speculative read in a continuation check can find that an older
+        // segment already wrote its address (a premature read): the reader
+        // is among the rolled-back segments, so it re-evaluates the check
+        // after its restart instead of acting on the stale value.
         if self.report.violations != violations_before {
             self.process_squashes(now)?;
+            if let Step::Cond { .. } = step {
+                return Ok(());
+            }
         }
         // Handle an overflow detected during this statement.
-        let poisoned = self.slots[p]
-            .as_ref()
-            .map(|s| s.overflow_poisoned)
-            .unwrap_or(false);
-        if poisoned {
+        if self.slots[p].overflow_poisoned {
             self.restart_slot(p, now, false)?;
-            let slot = self.slots[p].as_mut().expect("slot");
-            slot.stalled = true;
+            self.sched[p].stalled = true;
+            return Ok(());
+        }
+        if let Step::Cond { holds } = step {
+            if holds {
+                self.slots[p].cond_checked = true;
+            } else {
+                // Dynamic end of the region: this segment executes no body
+                // statement and, once it commits in order, discards every
+                // younger segment.
+                self.slots[p].term_pending = true;
+                self.sched[p].done = true;
+            }
         }
         Ok(())
     }
 
     /// Rolls back every in-flight segment whose squash was requested. The
     /// roll-back takes effect no earlier than the producing write that
-    /// triggered it.
+    /// triggered it. Retired slots are skipped.
     fn process_squashes(&mut self, now: u64) -> Result<(), SimError> {
-        for p in 0..self.slots.len() {
-            let request = self.slots[p]
-                .as_ref()
-                .filter(|s| s.squash_requested)
-                .map(|s| s.squash_not_before);
-            if let Some(not_before) = request {
-                let restart = now.max(not_before) + self.cfg.rollback_penalty;
+        for p in 0..self.sched.len() {
+            let slot = &self.slots[p];
+            if self.sched[p].live && slot.squash_requested {
+                let restart = now.max(slot.squash_not_before) + self.cfg.rollback_penalty;
                 self.restart_slot(p, restart, true)?;
             }
         }
@@ -871,45 +893,34 @@ impl<'p> Engine<'p> {
         restart_time: u64,
         count_rollback: bool,
     ) -> Result<(), SimError> {
-        let Engine {
-            slots,
-            scratch,
-            execs,
-            report,
-            cfg,
-            labels,
-            ..
-        } = self;
-        if let Some(slot) = slots[p].as_mut() {
-            scratch.masks.retract(p, &slot.spec);
-            slot.spec.clear();
-            slot.private.clear();
-            slot.done = false;
-            slot.stalled = false;
-            slot.squash_requested = false;
-            slot.squash_not_before = 0;
-            slot.overflow_poisoned = false;
-            slot.cond_checked = false;
-            slot.term_pending = false;
-            slot.restarts += 1;
-            report.max_segment_restarts = report.max_segment_restarts.max(slot.restarts);
-            slot.clock = restart_time;
-            if labels.has_private() {
-                slot.clock += cfg.private_setup_cost;
-            }
-            if slot.restarts > cfg.governor.max_segment_restarts {
-                return Err(SimError::RestartBudget {
-                    segment: slot.seg,
-                    restarts: slot.restarts,
-                });
-            }
+        let slot = &mut self.slots[p];
+        self.scratch.masks.retract(p, &slot.spec);
+        slot.spec.clear();
+        slot.private.clear();
+        slot.reset_attempt();
+        slot.restarts += 1;
+        let restarts = slot.restarts;
+        let s = &mut self.sched[p];
+        s.done = false;
+        s.stalled = false;
+        s.clock = restart_time;
+        if self.labels.has_private() {
+            s.clock += self.cfg.private_setup_cost;
         }
-        if let Some(exec) = execs[p].as_mut() {
+        let report = &mut self.report;
+        report.max_segment_restarts = report.max_segment_restarts.max(restarts);
+        if restarts > self.cfg.governor.max_segment_restarts {
+            return Err(SimError::RestartBudget {
+                segment: s.seg,
+                restarts,
+            });
+        }
+        if let Some(exec) = self.execs[p].as_mut() {
             exec.reset();
         }
         if count_rollback {
             report.rollbacks += 1;
-            if report.rollbacks > cfg.governor.max_region_rollbacks {
+            if report.rollbacks > self.cfg.governor.max_region_rollbacks {
                 return Err(SimError::RollbackBudget {
                     rollbacks: report.rollbacks,
                 });
@@ -918,30 +929,39 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
+    /// Retires the segment on processor `p`: retracts its mask marks,
+    /// clears its resident buffers and frees the processor.
+    fn retire(&mut self, p: usize) {
+        let slot = &mut self.slots[p];
+        self.scratch.masks.retract(p, &slot.spec);
+        slot.spec.clear();
+        slot.private.clear();
+        self.sched[p].live = false;
+    }
+
     /// Commits the head segment occupying slot `p` and dispatches the next
     /// segment onto the freed processor.
     fn commit(&mut self, p: usize) -> Result<(), SimError> {
         let total = self.iter_values.len();
-        let slot = self.slots[p].take().expect("slot");
         // Commit in place, straight from the journal: it holds each address
         // once, so the store order cannot be observed.
+        let slot = &self.slots[p];
         let mut entries = 0u64;
         for (addr, value) in slot.spec.written() {
             self.memory.store(addr, value);
             entries += 1;
         }
-        let commit_time = slot.clock + self.cfg.commit_per_entry * entries;
+        let commit_time = self.sched[p].clock + self.cfg.commit_per_entry * entries;
         let terminator = slot.term_pending;
         self.report.commits += 1;
         self.report.committed_entries += entries;
         self.last_commit_time = self.last_commit_time.max(commit_time);
         self.head += 1;
-        // Retire the slot's storage into the spare pool for the next
-        // segment dispatched onto this processor (and, via the pooled
-        // scratch, for the next region or call). The executor stays in
-        // `execs[p]` for the next dispatch to rebind.
-        self.scratch.masks.retract(p, &slot.spec);
-        self.scratch.spare[p] = Some((slot.spec, slot.private));
+        // The slot stays resident for the next segment dispatched onto this
+        // processor (and, via the pooled scratch, for the next region or
+        // call); the executor stays in `execs[p]` for the next dispatch to
+        // rebind.
+        self.retire(p);
         self.stmts_since_commit = 0;
         if terminator {
             // The committed head's continuation check failed: the region is
@@ -949,10 +969,9 @@ impl<'p> Engine<'p> {
             // buffered state never reached memory (a while region has no
             // non-private idempotent write-through sites; see
             // `RegionAnalysis`'s segment view) — and stop dispatching.
-            for q in 0..self.slots.len() {
-                if let Some(slot) = self.slots[q].take() {
-                    self.scratch.masks.retract(q, &slot.spec);
-                    self.scratch.spare[q] = Some((slot.spec, slot.private));
+            for q in 0..self.sched.len() {
+                if self.sched[q].live {
+                    self.retire(q);
                 }
             }
             self.report.segments = self.head;
@@ -967,65 +986,67 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// The stepping segment's slot as a *field-level* borrow of the slot
-/// slice, for the sites that must hold the slot and another context field
-/// at once (the method accessors borrow the whole context).
-#[inline]
-fn own_slot_mut(slots: &mut [Option<SlotData>], p: usize) -> &mut SlotData {
-    slots[p].as_mut().expect("own slot")
-}
-
 /// The [`DataStore`] a stepping segment sees: routes every access according
 /// to its label, charges latencies, tracks dependences and flags violations
 /// and overflows.
+///
+/// Built once per step: it borrows the stepping slot once and its peers
+/// around it, and fixes the segment number and head flag for the step (the
+/// head only moves on commit, between steps). The segment's clock is
+/// carried here for the step and written back afterwards.
 struct AccessCtx<'a> {
     cfg: &'a SimConfig,
     labels: &'a LabelTable,
     memory: &'a mut Memory,
-    slots: &'a mut [Option<SlotData>],
     masks: &'a mut DepMasks,
     report: &'a mut SimReport,
+    /// Every processor's scheduling state (the peers' segment numbers and
+    /// liveness).
+    sched: &'a [Sched],
+    /// Slots of processors `0..p`.
+    before: &'a mut [SlotData],
+    /// The stepping segment's slot.
+    own: &'a mut SlotData,
+    /// Slots of processors `p + 1..`.
+    after: &'a mut [SlotData],
     p: usize,
-    head: usize,
+    seg: usize,
+    is_head: bool,
+    clock: u64,
 }
 
 impl AccessCtx<'_> {
-    /// The stepping segment's slot. The slot is always present while its
-    /// executor steps — the engine dispatched it in the same scan.
-    #[inline]
-    fn own(&self) -> &SlotData {
-        self.slots[self.p].as_ref().expect("own slot")
-    }
-
-    /// Mutable access to the stepping segment's slot.
-    #[inline]
-    fn own_mut(&mut self) -> &mut SlotData {
-        own_slot_mut(self.slots, self.p)
+    /// The other in-flight segments: `(segment number, slot)` of every live
+    /// processor but the stepping one.
+    fn peers(&mut self) -> impl Iterator<Item = (usize, &mut SlotData)> + '_ {
+        let (lower, upper) = self.sched.split_at(self.p);
+        lower
+            .iter()
+            .zip(self.before.iter_mut())
+            .chain(upper[1..].iter().zip(self.after.iter_mut()))
+            .filter(|(s, _)| s.live)
+            .map(|(s, slot)| (s.seg, slot))
     }
 
     /// Flags violations: an older segment writes `addr` while a younger
     /// in-flight segment has already performed an exposed (speculative) read
     /// of it. The offending segment and every younger one are rolled back.
-    fn check_violations(&mut self, addr: Addr, writer_seg: usize) {
+    fn check_violations(&mut self, addr: Addr) {
         if !self.masks.other_reader(self.p, addr) {
             return;
         }
-        let mut min_violating: Option<usize> = None;
-        for slot in self.slots.iter().flatten() {
-            if slot.seg > writer_seg && slot.spec.has_exposed_read(addr) {
-                min_violating = Some(match min_violating {
-                    Some(m) => m.min(slot.seg),
-                    None => slot.seg,
-                });
-            }
-        }
+        let writer = self.seg;
+        let min_violating = self
+            .peers()
+            .filter(|(seg, slot)| *seg > writer && slot.spec.has_exposed_read(addr))
+            .map(|(seg, _)| seg)
+            .min();
         if let Some(min_seg) = min_violating {
             self.report.violations += 1;
-            let detection_time = self.own().clock;
-            for slot in self.slots.iter_mut().flatten() {
-                if slot.seg >= min_seg {
-                    slot.squash_requested = true;
-                    slot.squash_not_before = slot.squash_not_before.max(detection_time);
+            let detection_time = self.clock;
+            for (seg, slot) in self.peers() {
+                if seg >= min_seg {
+                    slot.request_squash(detection_time);
                 }
             }
         }
@@ -1033,13 +1054,16 @@ impl AccessCtx<'_> {
 
     /// Forwards a value from the youngest older in-flight segment holding a
     /// written entry for `addr`, together with the time that write happened.
-    fn forward_from_ancestor(&self, addr: Addr, reader_seg: usize) -> Option<(f64, u64)> {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|s| s.seg < reader_seg && s.spec.has_written(addr))
-            .max_by_key(|s| s.seg)
-            .and_then(|s| s.spec.get(addr).map(|e| (e.value, e.last_write_time)))
+    fn forward_from_ancestor(&mut self, addr: Addr) -> Option<(f64, u64)> {
+        let reader = self.seg;
+        self.peers()
+            .filter(|(seg, _)| *seg < reader)
+            .filter_map(|(seg, slot)| {
+                let entry = slot.spec.get(addr).filter(|e| e.written)?;
+                Some((seg, entry.value, entry.last_write_time))
+            })
+            .max_by_key(|(seg, ..)| *seg)
+            .map(|(_, value, time)| (value, time))
     }
 
     /// Flags a premature read: the reader (and every younger segment) is
@@ -1047,12 +1071,13 @@ impl AccessCtx<'_> {
     /// newer value for `addr` at a later simulated time (`write_time`). The
     /// roll-back takes effect at the producing write, matching the moment
     /// the hardware detects the violation.
-    fn flag_premature_read(&mut self, reader_seg: usize, write_time: u64) {
+    fn flag_premature_read(&mut self, write_time: u64) {
         self.report.violations += 1;
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.seg >= reader_seg {
-                slot.squash_requested = true;
-                slot.squash_not_before = slot.squash_not_before.max(write_time);
+        self.own.request_squash(write_time);
+        let reader = self.seg;
+        for (seg, slot) in self.peers() {
+            if seg >= reader {
+                slot.request_squash(write_time);
             }
         }
     }
@@ -1060,16 +1085,11 @@ impl AccessCtx<'_> {
 
 impl DataStore for AccessCtx<'_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        let label = self.labels.label_of(site);
-        let own_seg = self.own().seg;
-        let is_head = own_seg == self.head;
-        match label {
+        match self.labels.label_of(site) {
             Label::Idempotent(IdemCategory::Private) => {
                 self.report.private_reads += 1;
-                let lat = self.cfg.lat_nonspec;
-                let slot = self.own_mut();
-                slot.clock += lat;
-                match slot.private.get(addr) {
+                self.clock += self.cfg.lat_nonspec;
+                match self.own.private.get(addr) {
                     Some(v) => v,
                     None => self.memory.load(addr),
                 }
@@ -1078,43 +1098,38 @@ impl DataStore for AccessCtx<'_> {
                 // Idempotent reads completely bypass the speculative storage
                 // and leave no information in it (Definition 4).
                 self.report.nonspec_reads += 1;
-                self.own_mut().clock += self.cfg.lat_nonspec;
+                self.clock += self.cfg.lat_nonspec;
                 self.memory.load(addr)
             }
             Label::Speculative => {
                 self.report.spec_reads += 1;
-                // Own buffer first.
-                {
-                    let lat = self.cfg.lat_spec;
-                    let slot = self.own_mut();
-                    if let Some(entry) = slot.spec.get(addr) {
-                        let value = entry.value;
-                        slot.clock += lat;
-                        return value;
-                    }
-                    if slot.overflow_poisoned {
-                        // The segment is already being squashed; do not
-                        // track anything further.
-                        slot.clock += lat;
-                        return self.memory.load(addr);
-                    }
+                // Own buffer first — the one probe of its dense index this
+                // access makes.
+                if let Some(pos) = self.own.spec.find(addr) {
+                    self.clock += self.cfg.lat_spec;
+                    return self.own.spec.entry_at(pos).value;
+                }
+                if self.own.overflow_poisoned {
+                    // The segment is already being squashed; do not track
+                    // anything further.
+                    self.clock += self.cfg.lat_spec;
+                    return self.memory.load(addr);
                 }
                 // Forward from the youngest ancestor, else non-speculative
                 // storage (HOSE Property 4). The mask makes the common "no
                 // other in-flight writer" case a single load.
-                let now = self.own().clock;
                 let forwarded = if self.masks.other_writer(self.p, addr) {
-                    self.forward_from_ancestor(addr, own_seg)
+                    self.forward_from_ancestor(addr)
                 } else {
                     None
                 };
                 if let Some((_, write_time)) = forwarded {
-                    if write_time > now {
+                    if write_time > self.clock {
                         // In simulated time this read happens before the
                         // older segment's write: the read is premature, a
                         // flow-dependence violation (HOSE Property 5).
-                        self.flag_premature_read(own_seg, write_time);
-                        self.own_mut().clock += self.cfg.lat_nonspec;
+                        self.flag_premature_read(write_time);
+                        self.clock += self.cfg.lat_nonspec;
                         return self.memory.load(addr);
                     }
                 }
@@ -1125,26 +1140,25 @@ impl DataStore for AccessCtx<'_> {
                     }
                     None => (self.memory.load(addr), self.cfg.lat_nonspec),
                 };
-                // Field-level borrow: the block below touches the slot and
-                // the report together, which the whole-`self` accessor
-                // cannot express.
-                let slot = own_slot_mut(self.slots, self.p);
-                slot.clock += latency;
-                // Record the exposed read for dependence tracking; this
-                // allocation may overflow the buffer.
-                if slot.spec.would_overflow(addr) {
-                    if is_head {
+                self.clock += latency;
+                // Record the exposed read for dependence tracking; the
+                // address is known absent, so this allocation may overflow
+                // the buffer.
+                if self.own.spec.is_full() {
+                    if self.is_head {
                         // The head is non-speculative: it cannot violate and
                         // need not track; absorb the overflow.
                         self.report.overflow_writethrough += 1;
                     } else {
                         self.report.overflow_stalls += 1;
-                        slot.overflow_poisoned = true;
+                        self.own.overflow_poisoned = true;
                     }
                     return value;
                 }
-                let now = slot.clock;
-                slot.spec.record_exposed_read(addr, value, now);
+                self.own
+                    .spec
+                    .push_new(addr)
+                    .apply_exposed_read(value, self.clock);
                 self.masks.mark_read(self.p, addr);
                 value
             }
@@ -1152,57 +1166,100 @@ impl DataStore for AccessCtx<'_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        let label = self.labels.label_of(site);
-        let own_seg = self.own().seg;
-        let is_head = own_seg == self.head;
-        match label {
+        match self.labels.label_of(site) {
             Label::Idempotent(IdemCategory::Private) => {
                 self.report.private_writes += 1;
-                let lat = self.cfg.lat_nonspec;
-                let slot = self.own_mut();
-                slot.clock += lat;
-                slot.private.insert(addr, value);
+                self.clock += self.cfg.lat_nonspec;
+                self.own.private.insert(addr, value);
             }
             Label::Idempotent(_) => {
                 // Idempotent writes enforce dependences by checking for
                 // prematurely executed speculative loads, then write through
                 // to non-speculative storage (Definition 4).
                 self.report.nonspec_writes += 1;
-                if !self.own().squash_requested {
-                    self.check_violations(addr, own_seg);
+                if !self.own.squash_requested {
+                    self.check_violations(addr);
                 }
-                self.own_mut().clock += self.cfg.lat_nonspec;
+                self.clock += self.cfg.lat_nonspec;
                 self.memory.store(addr, value);
             }
             Label::Speculative => {
                 self.report.spec_writes += 1;
-                if !self.own().squash_requested {
-                    self.check_violations(addr, own_seg);
+                if !self.own.squash_requested {
+                    self.check_violations(addr);
                 }
-                if self.own().overflow_poisoned {
-                    self.own_mut().clock += self.cfg.lat_spec;
+                if self.own.overflow_poisoned {
+                    self.clock += self.cfg.lat_spec;
                     return;
                 }
-                if self.own().spec.would_overflow(addr) {
-                    if is_head {
-                        self.report.overflow_writethrough += 1;
-                        self.own_mut().clock += self.cfg.lat_nonspec;
-                        self.memory.store(addr, value);
-                    } else {
-                        self.report.overflow_stalls += 1;
-                        let lat = self.cfg.lat_spec;
-                        let slot = self.own_mut();
-                        slot.overflow_poisoned = true;
-                        slot.clock += lat;
+                let entry = match self.own.spec.find(addr) {
+                    Some(pos) => self.own.spec.entry_at(pos),
+                    None if self.own.spec.is_full() => {
+                        if self.is_head {
+                            self.report.overflow_writethrough += 1;
+                            self.clock += self.cfg.lat_nonspec;
+                            self.memory.store(addr, value);
+                        } else {
+                            self.report.overflow_stalls += 1;
+                            self.own.overflow_poisoned = true;
+                            self.clock += self.cfg.lat_spec;
+                        }
+                        return;
                     }
-                    return;
-                }
-                let lat = self.cfg.lat_spec;
-                let slot = self.own_mut();
-                slot.clock += lat;
-                let now = slot.clock;
-                slot.spec.record_write(addr, value, now);
+                    None => self.own.spec.push_new(addr),
+                };
+                self.clock += self.cfg.lat_spec;
+                entry.apply_write(value, self.clock);
+                // Every tracked write sets the write-mask bit — including a
+                // write to an entry the segment holds as an exposed read,
+                // whose bit is not set yet — or younger readers of `addr`
+                // would miss the forward (and the violation check).
                 self.masks.mark_write(self.p, addr);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::run::{run_sequential, simulate_region, ExecMode};
+    use crate::SimConfig;
+    use refidem_core::label::label_program_region_by_name;
+    use refidem_ir::build::{ac, add, av, num, ProcBuilder};
+    use refidem_ir::program::Program;
+
+    #[test]
+    fn a_read_then_written_entry_is_visible_to_younger_readers() {
+        // Every segment first reads a(k) (an exposed-read entry), then
+        // writes it (the same entry, now dirty); the next segment reads
+        // a(k-1) after that write in simulated time. The younger read must
+        // see the older segment's write — forwarded, or flagged as a
+        // violation and re-executed — which needs the write-mask bit set on
+        // the existing-entry write path, not only when the write allocates.
+        let mut b = ProcBuilder::new("main");
+        let a = b.array("a", &[16]);
+        let c = b.array("c", &[16]);
+        let k = b.index("k");
+        b.live_out(&[a, c]);
+        let bump = add(b.load_elem(a, vec![av(k)]), num(1.0));
+        let s1 = b.assign_elem(a, vec![av(k)], bump);
+        let older = b.load_elem(a, vec![av(k) - ac(1)]);
+        let s2 = b.assign_elem(c, vec![av(k)], older);
+        let region = b.do_loop_labeled("RW", k, ac(2), ac(9), vec![s1, s2]);
+        let mut p = Program::new("read-then-write");
+        p.add_procedure(b.build(vec![region]));
+        let labeled = label_program_region_by_name(&p, "RW").unwrap();
+        for processors in [2, 4] {
+            let cfg = SimConfig::default().processors(processors).capacity(16);
+            let truth = run_sequential(&p, &labeled, &cfg).unwrap();
+            for mode in [ExecMode::Hose, ExecMode::Case] {
+                let out = simulate_region(&p, &labeled, mode, &cfg).unwrap();
+                let diff = truth.memory.diff(&out.memory, 4);
+                assert!(diff.is_empty(), "p{processors} {mode}: {diff:?}");
+                assert!(
+                    out.report.forwards > 0,
+                    "p{processors} {mode}: younger reads are forwarded"
+                );
             }
         }
     }

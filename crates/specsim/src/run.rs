@@ -1843,6 +1843,36 @@ mod tests {
     }
 
     #[test]
+    fn a_full_i64_range_region_is_refused_not_wrapped() {
+        // i64::MIN..=i64::MAX spans 2^64 values: a wrapping trip count
+        // would run this as zero (step 1) or one (step 2) segments.
+        for step in [1, 2] {
+            let mut b = ProcBuilder::new("main");
+            let a = b.array("a", &[8]);
+            let k = b.index("k");
+            b.live_out(&[a]);
+            let s = b.assign_elem(a, vec![ac(1)], num(1.0));
+            let region = b.do_loop_step(Some("ALL"), k, ac(i64::MIN), ac(i64::MAX), step, vec![s]);
+            let mut p = Program::new("all");
+            p.add_procedure(b.build(vec![region]));
+            let Stmt::Loop(l) = &p.procedures[0].body[0] else {
+                unreachable!("one loop")
+            };
+            let too_large = SimError::Region("region trip count too large".to_string());
+            assert_eq!(
+                region_iteration_values(&p.procedures[0].vars, l).unwrap_err(),
+                too_large,
+                "step {step}"
+            );
+            let labeled = labeled_program(&p);
+            for mode in [ExecMode::Hose, ExecMode::Case] {
+                let err = simulate_program(&p, &labeled, mode, &SimConfig::default()).unwrap_err();
+                assert_eq!(err, too_large, "step {step}, {mode}");
+            }
+        }
+    }
+
+    #[test]
     fn scratch_pool_survives_worker_thread_churn() {
         // The original thread_local pool died with every SweepExec worker;
         // the config's shared pool must not: a run on one short-lived

@@ -44,6 +44,33 @@ pub struct SpecEntry {
     pub last_write_time: u64,
 }
 
+impl SpecEntry {
+    /// Applies a write of `value` performed at time `now`. Every write path
+    /// (the engine's one-probe access, [`SpecBuffer::record_write`]) goes
+    /// through here.
+    #[inline]
+    pub fn apply_write(&mut self, value: f64, now: u64) {
+        self.value = value;
+        self.written = true;
+        self.last_write_time = now;
+    }
+
+    /// Applies an exposed read that obtained `value` from outside the
+    /// segment at time `now`: the first such read stamps the time, and a
+    /// locally written value is never clobbered. Every exposed-read path
+    /// goes through here.
+    #[inline]
+    pub fn apply_exposed_read(&mut self, value: f64, now: u64) {
+        if !self.exposed_read {
+            self.exposed_read = true;
+            self.first_read_time = now;
+        }
+        if !self.written {
+            self.value = value;
+        }
+    }
+}
+
 /// Per-address slot of the dense index: the epoch the address was last
 /// touched in, and where its entry lives in the compact journal.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -132,26 +159,79 @@ impl SpecBuffer {
         self.capacity = capacity;
     }
 
+    /// Re-targets an **empty** buffer at another capacity and address
+    /// space in place, keeping its allocations (the engine's resident slots
+    /// move between programs and capacity points this way). Index slots
+    /// kept from earlier epochs stay stale, and new ones start unstamped,
+    /// so the buffer stays empty.
+    pub(crate) fn retarget(&mut self, capacity: usize, address_words: u64) {
+        self.set_capacity(capacity);
+        self.index
+            .resize(address_words as usize, IndexSlot::default());
+        if self.epoch == 0 {
+            // A `Default` buffer: move off the unstamped epoch.
+            self.epoch = 1;
+        }
+    }
+
     /// Highest occupancy observed since the last clear.
     pub fn peak(&self) -> usize {
         self.peak
     }
 
+    /// The journal position of `addr`'s entry in the current epoch, or
+    /// `None` when the buffer holds no entry for it. This is the one probe
+    /// of the dense index an access needs: the engine follows it with
+    /// [`entry_at`](Self::entry_at) on a hit, or with
+    /// [`is_full`](Self::is_full) and [`push_new`](Self::push_new) on a
+    /// miss.
+    #[inline]
+    pub fn find(&self, addr: Addr) -> Option<usize> {
+        let slot = self.index[addr.0 as usize];
+        (slot.stamp == self.epoch).then_some(slot.pos as usize)
+    }
+
+    /// The entry at journal position `pos`, as returned by
+    /// [`find`](Self::find).
+    #[inline]
+    pub fn entry_at(&mut self, pos: usize) -> &mut SpecEntry {
+        &mut self.journal[pos].1
+    }
+
+    /// True when no further entry fits: allocating one for an address the
+    /// buffer does not hold would overflow.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.journal.len() >= self.capacity
+    }
+
+    /// Allocates a fresh (default) entry for `addr` and returns it. The
+    /// caller must know that `addr` has no entry ([`find`](Self::find)
+    /// returned `None`) and must have handled overflow
+    /// ([`is_full`](Self::is_full)).
+    #[inline]
+    pub fn push_new(&mut self, addr: Addr) -> &mut SpecEntry {
+        debug_assert!(self.find(addr).is_none(), "push_new of a present entry");
+        let pos = self.journal.len();
+        self.index[addr.0 as usize] = IndexSlot {
+            stamp: self.epoch,
+            pos: pos as u32,
+        };
+        self.journal.push((addr.0, SpecEntry::default()));
+        self.peak = self.peak.max(self.journal.len());
+        &mut self.journal[pos].1
+    }
+
     /// True when allocating one more (new) entry for `addr` would exceed the
     /// capacity.
     pub fn would_overflow(&self, addr: Addr) -> bool {
-        self.index[addr.0 as usize].stamp != self.epoch && self.journal.len() >= self.capacity
+        self.find(addr).is_none() && self.is_full()
     }
 
     /// Looks an entry up.
     #[inline]
     pub fn get(&self, addr: Addr) -> Option<&SpecEntry> {
-        let slot = self.index[addr.0 as usize];
-        if slot.stamp == self.epoch {
-            Some(&self.journal[slot.pos as usize].1)
-        } else {
-            None
-        }
+        self.find(addr).map(|pos| &self.journal[pos].1)
     }
 
     /// True when the buffer holds a written (dirty) value for `addr`.
@@ -166,43 +246,27 @@ impl SpecBuffer {
         self.get(addr).is_some_and(|e| e.exposed_read)
     }
 
-    /// Allocates (or revalidates) the entry for `addr` in the current epoch
-    /// and returns it. The caller must have handled overflow beforehand.
+    /// The entry for `addr` in the current epoch, allocated if absent. The
+    /// caller must have handled overflow beforehand.
     #[inline]
     fn entry_mut(&mut self, addr: Addr) -> &mut SpecEntry {
-        let i = addr.0 as usize;
-        if self.index[i].stamp != self.epoch {
-            self.index[i] = IndexSlot {
-                stamp: self.epoch,
-                pos: self.journal.len() as u32,
-            };
-            self.journal.push((addr.0, SpecEntry::default()));
-            self.peak = self.peak.max(self.journal.len());
+        match self.find(addr) {
+            Some(pos) => self.entry_at(pos),
+            None => self.push_new(addr),
         }
-        &mut self.journal[self.index[i].pos as usize].1
     }
 
     /// Records a write performed at time `now`. The caller must have handled
     /// overflow beforehand (via [`SpecBuffer::would_overflow`]).
     pub fn record_write(&mut self, addr: Addr, value: f64, now: u64) {
-        let entry = self.entry_mut(addr);
-        entry.value = value;
-        entry.written = true;
-        entry.last_write_time = now;
+        self.entry_mut(addr).apply_write(value, now);
     }
 
     /// Records an exposed read that obtained `value` from outside the
     /// segment at time `now`. The caller must have handled overflow
     /// beforehand.
     pub fn record_exposed_read(&mut self, addr: Addr, value: f64, now: u64) {
-        let entry = self.entry_mut(addr);
-        if !entry.exposed_read {
-            entry.exposed_read = true;
-            entry.first_read_time = now;
-        }
-        if !entry.written {
-            entry.value = value;
-        }
+        self.entry_mut(addr).apply_exposed_read(value, now);
     }
 
     /// Values written by the segment, in touch order, borrowed straight
@@ -280,6 +344,17 @@ impl PrivateStore {
             index: vec![IndexSlot::default(); address_words as usize],
             values: Vec::new(),
             epoch: 1,
+        }
+    }
+
+    /// Re-targets an **empty** store at another address space in place
+    /// (see [`SpecBuffer::retarget`]).
+    pub(crate) fn retarget(&mut self, address_words: u64) {
+        debug_assert!(self.values.is_empty(), "retarget of a non-empty store");
+        self.index
+            .resize(address_words as usize, IndexSlot::default());
+        if self.epoch == 0 {
+            self.epoch = 1;
         }
     }
 
@@ -527,6 +602,109 @@ mod tests {
         b.clear();
         assert!(b.is_empty());
         assert!(!b.would_overflow(Addr(0)));
+    }
+
+    /// A small deterministic generator (xorshift64*) for the model test.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+    }
+
+    #[test]
+    fn one_probe_api_matches_a_btreemap_model() {
+        use std::collections::BTreeMap;
+        const SMALL: u64 = 12;
+        for capacity in [1, 4] {
+            for seed in 1..=40u64 {
+                let mut gen = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut buf = SpecBuffer::new(capacity, SMALL);
+                // The model: entries by address, their touch order, and the
+                // peak occupancy since the last clear.
+                let mut model: BTreeMap<u64, SpecEntry> = BTreeMap::new();
+                let mut order: Vec<u64> = Vec::new();
+                let mut peak = 0;
+                for now in 0..400u64 {
+                    let addr = Addr(gen.below(SMALL));
+                    let value = gen.below(1000) as f64;
+                    let op = gen.below(10);
+                    if op == 0 {
+                        buf.clear();
+                        model.clear();
+                        order.clear();
+                        peak = 0;
+                    } else {
+                        let write = op % 2 == 0;
+                        let present = model.contains_key(&addr.0);
+                        let overflows = !present && model.len() >= capacity;
+                        assert_eq!(buf.find(addr).is_some(), present);
+                        assert_eq!(buf.would_overflow(addr), overflows);
+                        assert_eq!(buf.is_full(), model.len() >= capacity);
+                        if !overflows {
+                            // Alternate the one-probe path and the
+                            // record_* wrappers over it.
+                            if op < 5 {
+                                let entry = match buf.find(addr) {
+                                    Some(pos) => buf.entry_at(pos),
+                                    None => buf.push_new(addr),
+                                };
+                                if write {
+                                    entry.apply_write(value, now);
+                                } else {
+                                    entry.apply_exposed_read(value, now);
+                                }
+                            } else if write {
+                                buf.record_write(addr, value, now);
+                            } else {
+                                buf.record_exposed_read(addr, value, now);
+                            }
+                            if !present {
+                                order.push(addr.0);
+                            }
+                            let e = model.entry(addr.0).or_default();
+                            if write {
+                                e.value = value;
+                                e.written = true;
+                                e.last_write_time = now;
+                            } else {
+                                if !e.exposed_read {
+                                    e.exposed_read = true;
+                                    e.first_read_time = now;
+                                }
+                                if !e.written {
+                                    e.value = value;
+                                }
+                            }
+                            peak = peak.max(model.len());
+                        }
+                    }
+                    assert_eq!(buf.len(), model.len());
+                    assert_eq!(buf.peak(), peak);
+                    for a in 0..SMALL {
+                        let e = model.get(&a);
+                        assert_eq!(buf.get(Addr(a)), e);
+                        assert_eq!(buf.has_written(Addr(a)), e.is_some_and(|e| e.written));
+                        assert_eq!(
+                            buf.has_exposed_read(Addr(a)),
+                            e.is_some_and(|e| e.exposed_read)
+                        );
+                    }
+                    let written: Vec<(Addr, f64)> = order
+                        .iter()
+                        .filter(|a| model[a].written)
+                        .map(|a| (Addr(*a), model[a].value))
+                        .collect();
+                    assert_eq!(buf.written().collect::<Vec<_>>(), written);
+                    let touched: Vec<Addr> = order.iter().map(|a| Addr(*a)).collect();
+                    assert_eq!(buf.touched_addrs().collect::<Vec<_>>(), touched);
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 use refidem_analysis::depend::{DependenceSet, SHARD_SITE_THRESHOLD};
 use refidem_benchmarks::all_named_loops;
 use refidem_core::cache::AnalysisCache;
-use refidem_core::label::label_program_region;
+use refidem_core::label::{label_program_region, LabeledRegion};
 use refidem_ir::sites::RefTable;
 use refidem_specsim::{simulate_region, simulate_region_cached, ExecMode, SimConfig};
+use refidem_testkit::diff::{tamper_labeling, Tamper};
 use refidem_testkit::{giant_block, GIANT_BLOCK_LABEL};
 
 #[test]
@@ -59,6 +60,35 @@ fn cached_labelings_match_fresh_on_every_named_benchmark() {
     let counters = cache.counters();
     assert_eq!(counters.hits, benches.len() as u64);
     assert_eq!(counters.misses, benches.len() as u64);
+}
+
+#[test]
+fn tampering_with_a_hit_clone_leaves_the_cached_labeling_intact() {
+    // Cached bundles are copy-on-write: a hit's clone shares the cached
+    // storage until it is mutated, and mutation copies. Tamper every named
+    // loop's clone both ways; each re-lookup must still equal a fresh
+    // labeling.
+    let cache = AnalysisCache::fresh();
+    let mut tampered = 0;
+    for bench in &all_named_loops() {
+        let fresh = label_program_region(&bench.program, &bench.region).expect("analyzes");
+        for tamper in [
+            Tamper::PromoteSpeculativeReads,
+            Tamper::PromoteSpeculativeWrites,
+        ] {
+            let lookup = cache
+                .label_region_cached(&bench.program, &bench.region)
+                .expect("analyzes");
+            let mut clone = LabeledRegion::clone(&lookup.region);
+            tampered += tamper_labeling(&mut clone.labeling, tamper);
+            let again = cache
+                .label_region_cached(&bench.program, &bench.region)
+                .expect("analyzes");
+            assert!(again.hit, "{}", bench.name);
+            assert_eq!(again.region.labeling, fresh.labeling, "{}", bench.name);
+        }
+    }
+    assert!(tampered > 0, "some label was actually changed");
 }
 
 #[test]
