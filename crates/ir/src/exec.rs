@@ -20,7 +20,7 @@ use crate::affine::AffineExpr;
 use crate::expr::{BinOp, Expr, Reference, Subscript};
 use crate::ids::{RefId, VarId};
 use crate::lowered::{
-    fused::fuse, lower, ExecBackend, LowerKey, LowerUnit, LoweredCache, LoweredSegmentExec,
+    compile_unit, lower, ExecBackend, LowerKey, LowerUnit, LoweredCache, TierExec,
 };
 use crate::memory::{Addr, Layout, Memory};
 use crate::program::Procedure;
@@ -297,6 +297,13 @@ impl<'p> SegmentExec<'p> {
         };
         exec.reset();
         exec
+    }
+
+    /// Re-initializes the executor with new initial index bindings, exactly
+    /// as [`new`](Self::new) would.
+    pub(crate) fn rebind(&mut self, initial_env: &[(VarId, i64)]) {
+        self.initial_env = initial_env.to_vec();
+        self.reset();
     }
 
     /// Restores the executor to its initial state (used for re-execution
@@ -598,22 +605,11 @@ impl SeqInterp {
         env: &[(VarId, i64)],
         store: &mut impl DataStore,
     ) -> Result<(), ExecError> {
-        match self.backend {
-            ExecBackend::Lowered => {
-                let lowered = lower(vars, layout, stmts);
-                let mut exec = LoweredSegmentExec::new(&lowered, env);
-                exec.run(store, self.max_steps)
-            }
-            ExecBackend::Fused => {
-                let fused = fuse(&lower(vars, layout, stmts));
-                let mut exec = LoweredSegmentExec::new(&fused, env);
-                exec.run(store, self.max_steps)
-            }
-            ExecBackend::TreeWalk => {
-                let mut exec = SegmentExec::new(vars, layout, stmts, env);
-                exec.run(store, self.max_steps)
-            }
-        }
+        let compiled = compile_unit(self.backend, &self.cache, None, true, || {
+            lower(vars, layout, stmts)
+        });
+        let compiled = compiled.as_ref().map(|c| &*c.value);
+        TierExec::new(compiled, vars, layout, stmts, env).run(store, self.max_steps)
     }
 
     /// Runs a whole procedure body through a store, compiling through the
@@ -626,25 +622,12 @@ impl SeqInterp {
         layout: &Layout,
         store: &mut impl DataStore,
     ) -> Result<(), ExecError> {
-        match self.backend {
-            ExecBackend::Lowered => {
-                let key = LowerKey::new(proc, "", LowerUnit::WholeProcedure);
-                let (lowered, _) = self
-                    .cache
-                    .get_or_lower(key, || lower(&proc.vars, layout, &proc.body));
-                LoweredSegmentExec::new(&lowered, &[]).run(store, self.max_steps)
-            }
-            ExecBackend::Fused => {
-                let key = LowerKey::new(proc, "", LowerUnit::FusedWholeProcedure);
-                let (fused, _) = self
-                    .cache
-                    .get_or_lower(key, || fuse(&lower(&proc.vars, layout, &proc.body)));
-                LoweredSegmentExec::new(&fused, &[]).run(store, self.max_steps)
-            }
-            ExecBackend::TreeWalk => {
-                SegmentExec::new(&proc.vars, layout, &proc.body, &[]).run(store, self.max_steps)
-            }
-        }
+        let key = LowerKey::new(proc, "", LowerUnit::WholeProcedure);
+        let compiled = compile_unit(self.backend, &self.cache, Some(key), true, || {
+            lower(&proc.vars, layout, &proc.body)
+        });
+        let compiled = compiled.as_ref().map(|c| &*c.value);
+        TierExec::new(compiled, &proc.vars, layout, &proc.body, &[]).run(store, self.max_steps)
     }
 
     /// Runs a procedure against the given memory (which must have been built

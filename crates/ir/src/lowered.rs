@@ -29,10 +29,10 @@
 //! hundreds of generated programs and the whole named-benchmark suite.
 
 use crate::affine::AffineExpr;
-use crate::exec::{DataStore, ExecError};
+use crate::exec::{DataStore, ExecError, SegmentExec};
 use crate::expr::{BinOp, CmpOp, Expr, Reference, Subscript};
 use crate::ids::{RefId, VarId};
-use crate::lru::BoundedLru;
+use crate::lru::{BoundedLru, Lookup};
 use crate::memory::{Addr, Layout};
 use crate::program::Procedure;
 use crate::stmt::{LoopStmt, Stmt};
@@ -1272,6 +1272,151 @@ impl LoweredCache {
     }
 }
 
+/// The one execution-tier decision: compiles a unit for `backend` through
+/// `cache`, or returns `None` under [`ExecBackend::TreeWalk`], which runs
+/// the unit's statements uncompiled. `key` names the plain-tier unit. Under
+/// [`ExecBackend::Fused`] a `hot` region loop, region body or whole
+/// procedure is compiled through [`fused::fuse`] under the matching
+/// `Fused*` unit instead, so the two tiers never share a cache entry.
+/// Serial spans have no fused tier. A `None` key compiles without the
+/// cache: a bare statement list has no procedure identity to key on.
+pub fn compile_unit(
+    backend: ExecBackend,
+    cache: &LoweredCache,
+    key: Option<LowerKey>,
+    hot: bool,
+    lower: impl FnOnce() -> LoweredProc,
+) -> Option<Lookup<LoweredProc>> {
+    let hot = match backend {
+        ExecBackend::TreeWalk => return None,
+        ExecBackend::Lowered => false,
+        ExecBackend::Fused => hot,
+    };
+    let compile = |fuse: bool| {
+        let base = lower();
+        if fuse {
+            fused::fuse(&base)
+        } else {
+            base
+        }
+    };
+    let Some(mut key) = key else {
+        return Some(Lookup {
+            value: std::sync::Arc::new(compile(hot)),
+            hit: false,
+            evicted: 0,
+        });
+    };
+    let fused_unit = match key.unit {
+        LowerUnit::WholeProcedure => Some(LowerUnit::FusedWholeProcedure),
+        LowerUnit::RegionLoop => Some(LowerUnit::FusedRegionLoop),
+        LowerUnit::RegionBody => Some(LowerUnit::FusedRegionBody),
+        _ => None,
+    }
+    .filter(|_| hot);
+    key.unit = fused_unit.unwrap_or(key.unit);
+    Some(cache.get_or_insert_with(key, || compile(fused_unit.is_some())))
+}
+
+/// A resumable executor on whichever tier [`compile_unit`] chose: the
+/// bytecode executor over compiled code, or the tree-walking interpreter
+/// when there is none. Both share the step/reset contract, so the
+/// sequential runners and both speculative runtimes drive either through
+/// this one type.
+#[derive(Clone, Debug)]
+pub enum TierExec<'p> {
+    /// The tree-walking interpreter (the oracle backend).
+    Tree(SegmentExec<'p>),
+    /// The bytecode executor (plain or fused code).
+    Lowered(LoweredSegmentExec<'p>),
+}
+
+impl<'p> TierExec<'p> {
+    /// An executor over `stmts` with the initial index bindings `env`:
+    /// running `compiled` (the bytecode of `stmts`) when present, else
+    /// tree-walking `stmts`.
+    pub fn new(
+        compiled: Option<&'p LoweredProc>,
+        vars: &'p VarTable,
+        layout: &'p Layout,
+        stmts: &'p [Stmt],
+        env: &[(VarId, i64)],
+    ) -> Self {
+        let mut bufs = ExecBuffers::default();
+        Self::with_buffers(compiled, vars, layout, stmts, env, &mut bufs)
+    }
+
+    /// [`new`](Self::new) on recycled buffers: a bytecode executor takes
+    /// `bufs` over (leaving them empty); the tree walker leaves them alone.
+    pub fn with_buffers(
+        compiled: Option<&'p LoweredProc>,
+        vars: &'p VarTable,
+        layout: &'p Layout,
+        stmts: &'p [Stmt],
+        env: &[(VarId, i64)],
+        bufs: &mut ExecBuffers,
+    ) -> Self {
+        match compiled {
+            Some(prog) => TierExec::Lowered(LoweredSegmentExec::with_buffers(
+                prog,
+                env,
+                std::mem::take(bufs),
+            )),
+            None => TierExec::Tree(SegmentExec::new(vars, layout, stmts, env)),
+        }
+    }
+
+    /// Detaches a bytecode executor's buffers for a later
+    /// [`with_buffers`](Self::with_buffers); the tree walker has none.
+    pub fn into_buffers(self) -> Option<ExecBuffers> {
+        match self {
+            TierExec::Tree(_) => None,
+            TierExec::Lowered(e) => Some(e.into_buffers()),
+        }
+    }
+
+    /// Re-initializes the executor with new initial index bindings (the
+    /// next segment of the same unit), exactly as [`new`](Self::new) would.
+    pub fn rebind(&mut self, env: &[(VarId, i64)]) {
+        match self {
+            TierExec::Tree(e) => e.rebind(env),
+            TierExec::Lowered(e) => e.rebind(env),
+        }
+    }
+
+    /// Executes one statement unit; `false` once the statements are done.
+    pub fn step(&mut self, store: &mut impl DataStore) -> Result<bool, ExecError> {
+        match self {
+            TierExec::Tree(e) => e.step(store),
+            TierExec::Lowered(e) => e.step(store),
+        }
+    }
+
+    /// Restores the initial state (re-execution after a roll-back).
+    pub fn reset(&mut self) {
+        match self {
+            TierExec::Tree(e) => e.reset(),
+            TierExec::Lowered(e) => e.reset(),
+        }
+    }
+
+    /// Runs to completion (bounded by `max_steps` statement units).
+    pub fn run(&mut self, store: &mut impl DataStore, max_steps: usize) -> Result<(), ExecError> {
+        match self {
+            TierExec::Tree(e) => e.run(store, max_steps),
+            TierExec::Lowered(e) => e.run(store, max_steps),
+        }
+    }
+
+    /// Number of statement units executed since the last reset.
+    pub fn steps(&self) -> usize {
+        match self {
+            TierExec::Tree(e) => e.steps(),
+            TierExec::Lowered(e) => e.steps(),
+        }
+    }
+}
+
 /// Runtime state of one active loop.
 #[derive(Clone, Copy, Debug)]
 struct LoopState {
@@ -2272,6 +2417,52 @@ mod tests {
         // `fresh` is isolated; every `default` is the one global handle.
         assert_ne!(LoweredCache::fresh(), cache);
         assert_eq!(LoweredCache::default(), LoweredCache::global());
+    }
+
+    #[test]
+    fn compile_unit_picks_the_tier_and_its_cache_key() {
+        let proc = labeled_proc("T");
+        let layout = Layout::new(&proc.vars);
+        let cache = LoweredCache::fresh();
+        let lower_body = || lower(&proc.vars, &layout, &proc.body);
+        let compile = |backend, unit, hot| {
+            let key = LowerKey::new(&proc, "T", unit);
+            compile_unit(backend, &cache, Some(key), hot, lower_body)
+        };
+        let cached = |unit| {
+            let key = LowerKey::new(&proc, "T", unit);
+            cache.get_or_lower(key, || unreachable!("{unit:?} is cached"))
+        };
+
+        // The oracle compiles nothing and never touches the cache.
+        assert!(compile(ExecBackend::TreeWalk, LowerUnit::RegionLoop, true).is_none());
+        assert_eq!(cache.stats(), (0, 0));
+
+        // The plain tier ignores heat; a cold region under the fused
+        // backend shares its entry.
+        let plain = compile(ExecBackend::Lowered, LowerUnit::RegionLoop, true).unwrap();
+        assert!(!plain.hit && !plain.value.is_register_form());
+        assert!(
+            compile(ExecBackend::Fused, LowerUnit::RegionLoop, false)
+                .unwrap()
+                .hit
+        );
+
+        // A hot region fuses under its own key.
+        let fused = compile(ExecBackend::Fused, LowerUnit::RegionLoop, true).unwrap();
+        assert!(!fused.hit && fused.value.is_register_form());
+        assert!(cached(LowerUnit::FusedRegionLoop).0.is_register_form());
+
+        // A serial span has no fused tier, hot or not.
+        let span = compile(ExecBackend::Fused, LowerUnit::Prologue, true).unwrap();
+        assert!(!span.value.is_register_form());
+        assert!(cached(LowerUnit::Prologue).1);
+
+        // Without a key nothing is cached.
+        let before = cache.stats();
+        let bare = compile_unit(ExecBackend::Fused, &cache, None, true, lower_body).unwrap();
+        assert!(!bare.hit && bare.value.is_register_form());
+        assert_eq!(cache.stats(), before);
     }
 
     /// Builds a one-loop procedure whose region label is `name` (distinct

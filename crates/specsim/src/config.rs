@@ -83,13 +83,6 @@ pub struct SimConfig {
     /// produce bit-identical results; the oracle exists for cross-checking
     /// and debugging.
     pub backend: ExecBackend,
-    /// Heat threshold for the fused tier: a region is *hot* — and compiles
-    /// through [`fuse`](refidem_ir::lowered::fused::fuse) under a
-    /// fused-tier cache key — when its bounds are compile-time constants
-    /// and its trip count is at least this many iterations. WHILE regions
-    /// and non-constant bounds are always cold (plain bytecode). Ignored
-    /// by the non-fused backends.
-    pub fuse_min_trips: usize,
     /// Compilation cache for the lowered backend. Defaults to the
     /// process-global cache ([`LoweredCache::global`]); substitute
     /// [`LoweredCache::fresh`] to isolate a run. The tree-walking oracle
@@ -148,7 +141,6 @@ impl Default for SimConfig {
             private_setup_cost: 8,
             max_statements: 200_000_000,
             backend: ExecBackend::default(),
-            fuse_min_trips: 2,
             cache: LoweredCache::default(),
             analysis_cache: AnalysisCache::default(),
             scratch: ScratchPool::global(),
@@ -201,14 +193,6 @@ impl SimConfig {
     /// Convenience: selects the tree-walking oracle backend.
     pub fn oracle(self) -> Self {
         self.backend(ExecBackend::TreeWalk)
-    }
-
-    /// Convenience: sets the fused-tier heat threshold (minimum constant
-    /// trip count for a region to compile through the fused tier) and
-    /// returns the modified config.
-    pub fn fuse_min_trips(mut self, trips: usize) -> Self {
-        self.fuse_min_trips = trips;
-        self
     }
 
     /// Convenience: sets the compilation cache and returns the modified

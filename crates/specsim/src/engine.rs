@@ -30,39 +30,13 @@ use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
-use refidem_ir::exec::{DataStore, ExecError, SegmentExec};
+use refidem_ir::exec::{DataStore, SegmentExec};
 use refidem_ir::expr::Expr;
 use refidem_ir::ids::RefId;
-use refidem_ir::lowered::{ExecBackend, ExecBuffers, LoweredProc, LoweredSegmentExec};
+use refidem_ir::lowered::{ExecBuffers, LoweredProc, TierExec};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
-
-/// A segment executor on either backend. Both implement the identical
-/// resumable step/reset contract, so the engine is backend-agnostic; the
-/// lowered backend is the default and the tree-walk is kept as the
-/// cross-checking oracle.
-#[derive(Clone, Debug)]
-enum AnyExec<'p> {
-    Tree(SegmentExec<'p>),
-    Lowered(LoweredSegmentExec<'p>),
-}
-
-impl AnyExec<'_> {
-    fn step(&mut self, store: &mut impl DataStore) -> Result<bool, ExecError> {
-        match self {
-            AnyExec::Tree(e) => e.step(store),
-            AnyExec::Lowered(e) => e.step(store),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            AnyExec::Tree(e) => e.reset(),
-            AnyExec::Lowered(e) => e.reset(),
-        }
-    }
-}
 
 /// One processor's scheduling state: everything the engine's
 /// per-statement scan reads, packed into a dense per-processor array so the
@@ -261,7 +235,7 @@ pub struct EngineScratch {
     /// Cross-slot dependence presence masks (see [`DepMasks`]).
     masks: DepMasks,
     /// The (empty) executor vector, kept for its allocation.
-    execs: Vec<Option<AnyExec<'static>>>,
+    execs: Vec<Option<TierExec<'static>>>,
     /// Parked executor buffers, one per processor.
     exec_bufs: Vec<ExecBuffers>,
     /// Executor buffers of the serial spans between regions.
@@ -277,19 +251,6 @@ impl EngineScratch {
     /// engine run prepares it).
     pub fn new() -> Self {
         EngineScratch::default()
-    }
-
-    /// Takes a scratch from the **process-global** pool (see
-    /// [`ScratchPool::global`]).
-    pub fn take() -> Self {
-        ScratchPool::global().take()
-    }
-
-    /// Returns this scratch to the **process-global** pool (see
-    /// [`ScratchPool::global`]). Only scratch from *successful* runs may
-    /// come back — a failed run's masks can carry stale marks.
-    pub fn restore(self) {
-        ScratchPool::global().restore(self);
     }
 
     /// Re-targets the scratch at a machine shape, keeping every allocation:
@@ -468,8 +429,8 @@ pub(crate) struct Engine<'p> {
     vars: &'p VarTable,
     layout: &'p Layout,
     region: &'p LoopStmt,
-    /// The region body compiled to bytecode (present on the lowered
-    /// backend; compiled once per engine, shared by every segment).
+    /// The region body compiled to bytecode, shared by every segment
+    /// (`None` when the region is tree-walked).
     lowered: Option<&'p LoweredProc>,
     /// The region's WHILE continuation condition (`None` for a counted
     /// region), fixed for the whole run.
@@ -479,7 +440,7 @@ pub(crate) struct Engine<'p> {
     labels: LabelTable,
     iter_values: Vec<i64>,
 
-    execs: Vec<Option<AnyExec<'p>>>,
+    execs: Vec<Option<TierExec<'p>>>,
     /// Dense scheduler array, indexed by processor.
     sched: Vec<Sched>,
     /// Resident slots, indexed by processor (possibly longer than `sched`:
@@ -510,11 +471,9 @@ enum Step {
 }
 
 impl<'p> Engine<'p> {
-    /// Creates an engine for one region execution. `lowered` must be the
-    /// compiled region body when `cfg.backend` is [`ExecBackend::Lowered`]
-    /// or [`ExecBackend::Fused`] (the caller heat-selects the tier and
-    /// compiles accordingly; the engine runs whatever bytecode it is
-    /// handed).
+    /// Creates an engine for one region execution. `lowered` is the
+    /// compiled region body, or `None` to tree-walk it (the caller chose
+    /// the tier; the engine runs whatever bytecode it is handed).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: &'p SimConfig,
@@ -640,8 +599,8 @@ impl<'p> Engine<'p> {
             ..
         } = self;
         for (bufs, exec) in scratch.exec_bufs.iter_mut().zip(execs.drain(..)) {
-            if let Some(AnyExec::Lowered(exec)) = exec {
-                *bufs = exec.into_buffers();
+            if let Some(parked) = exec.and_then(TierExec::into_buffers) {
+                *bufs = parked;
             }
         }
         scratch.execs = recycle(execs);
@@ -672,29 +631,20 @@ impl<'p> Engine<'p> {
             stalled: false,
         };
         let env = [(self.region.index, self.iter_values[seg])];
-        let exec = &mut self.execs[p];
-        match (exec.as_mut(), self.cfg.backend) {
+        match &mut self.execs[p] {
             // The executor of the segment that last ran on this processor
             // stays behind on commit; rebinding it is `new` without the
             // allocations.
-            (Some(AnyExec::Lowered(exec)), _) => exec.rebind(&env),
-            // The fused tier hands the engine pre-compiled (possibly
-            // fused) bytecode exactly like the plain tier; the executor is
-            // the same resumable machine either way.
-            (_, ExecBackend::Lowered | ExecBackend::Fused) => {
-                *exec = Some(AnyExec::Lowered(LoweredSegmentExec::with_buffers(
-                    self.lowered.expect("lowered region body compiled"),
-                    &env,
-                    std::mem::take(&mut self.scratch.exec_bufs[p]),
-                )));
-            }
-            (_, ExecBackend::TreeWalk) => {
-                *exec = Some(AnyExec::Tree(SegmentExec::new(
+            Some(exec) => exec.rebind(&env),
+            empty => {
+                *empty = Some(TierExec::with_buffers(
+                    self.lowered,
                     self.vars,
                     self.layout,
                     &self.region.body,
                     &env,
-                )));
+                    &mut self.scratch.exec_bufs[p],
+                ));
             }
         }
         // Injected dispatch failures. The simulator has no worker thread

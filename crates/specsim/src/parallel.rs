@@ -91,7 +91,7 @@ use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{DataStore, SegmentExec};
 use refidem_ir::ids::RefId;
-use refidem_ir::lowered::{ExecBackend, LoweredProc, LoweredSegmentExec};
+use refidem_ir::lowered::{LoweredProc, TierExec};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
@@ -235,32 +235,9 @@ struct RegionCtx<'p> {
     iter_values: &'p [i64],
 }
 
-/// A segment executor on either backend (the private mirror of the
-/// simulator's `AnyExec`; both backends share the step/reset contract).
-enum ParExec<'p> {
-    Tree(SegmentExec<'p>),
-    Lowered(LoweredSegmentExec<'p>),
-}
-
-impl ParExec<'_> {
-    fn step(&mut self, store: &mut impl DataStore) -> Result<bool, refidem_ir::exec::ExecError> {
-        match self {
-            ParExec::Tree(e) => e.step(store),
-            ParExec::Lowered(e) => e.step(store),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            ParExec::Tree(e) => e.reset(),
-            ParExec::Lowered(e) => e.reset(),
-        }
-    }
-}
-
 /// Runs one region under the real-thread runtime and merges the tallies
 /// into a report. Mirrors the simulator's `Engine::new(..).run()` contract:
-/// `lowered` must be the compiled region body on the lowered backend, and
+/// `lowered` is the compiled region body (`None` to tree-walk it), and
 /// `memory` holds the live-in state and receives the final state.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_region(
@@ -418,18 +395,7 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
             return Err(SimError::Injected { segment: seg });
         }
         let env = [(ctx.region.index, ctx.iter_values[seg])];
-        let mut exec = match shared.cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => ParExec::Lowered(LoweredSegmentExec::new(
-                ctx.lowered.expect("lowered region body compiled"),
-                &env,
-            )),
-            ExecBackend::TreeWalk => ParExec::Tree(SegmentExec::new(
-                ctx.vars,
-                ctx.layout,
-                &ctx.region.body,
-                &env,
-            )),
-        };
+        let mut exec = TierExec::new(ctx.lowered, ctx.vars, ctx.layout, &ctx.region.body, &env);
         run_segment(shared, ctx, p, seg, &mut exec, &mut private)?;
     }
 }
@@ -501,7 +467,7 @@ fn run_segment(
     ctx: &RegionCtx<'_>,
     p: usize,
     seg: usize,
-    exec: &mut ParExec<'_>,
+    exec: &mut TierExec<'_>,
     private: &mut PrivateStore,
 ) -> Result<(), SimError> {
     let slot = &shared.slots[p];
@@ -770,14 +736,17 @@ fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize) {
 fn commit(shared: &Shared<'_>, p: usize, seg: usize, terminator: bool) {
     let own_bit = 1u32 << p;
     let mut spec = shared.slots[p].spec.lock().expect("spec lock");
-    let dirty = spec.dirty_entries();
-    for &(addr, value) in &dirty {
+    // The journal holds each address once, so draining it in touch order
+    // stores the same memory as any other order.
+    let mut committed = 0u64;
+    for (addr, value) in spec.written() {
         shared.memory.store(addr, value);
+        committed += 1;
     }
     shared
         .tallies
         .committed_entries
-        .fetch_add(dirty.len() as u64, Relaxed);
+        .fetch_add(committed, Relaxed);
     shared.tallies.spec_peak.fetch_max(spec.peak(), Relaxed);
     for addr in spec.touched_addrs() {
         shared.read_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
@@ -838,10 +807,9 @@ impl ParCtx<'_, '_> {
             if q_seg == IDLE || q_seg >= self.seg {
                 continue;
             }
-            if spec.has_written(addr) {
-                let value = spec.get(addr).expect("written entry").value;
+            if let Some(entry) = spec.get(addr).filter(|e| e.written) {
                 if best.map_or(true, |(b, _)| q_seg > b) {
-                    best = Some((q_seg, value));
+                    best = Some((q_seg, entry.value));
                 }
             }
         }
@@ -879,13 +847,15 @@ impl ParCtx<'_, '_> {
         let t = &self.shared.tallies;
         t.spec_reads.fetch_add(1, Relaxed);
         // Own buffer first — a hit (prior write or tracked read) is not a
-        // new exposed read.
+        // new exposed read. On a miss the buffer stays without an entry for
+        // `addr` until this thread adds one below: only the owning worker
+        // mutates its buffer.
         {
-            let spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            if let Some(entry) = spec.get(addr) {
-                return entry.value;
+            let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
+            if let Some(pos) = spec.find(addr) {
+                return spec.entry_at(pos).value;
             }
-            if spec.would_overflow(addr) {
+            if spec.is_full() {
                 if self.head_mode {
                     // The head absorbs overflow by reading through.
                     t.overflow_writethrough.fetch_add(1, Relaxed);
@@ -907,7 +877,7 @@ impl ParCtx<'_, '_> {
             // checked above) and track the entry so re-reads hit locally.
             let value = self.shared.memory.load(addr);
             let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            spec.record_exposed_read(addr, value, 0);
+            spec.push_new(addr).apply_exposed_read(value, 0);
             return value;
         }
         // Dekker, reader side: publish the read intent *before* probing
@@ -933,7 +903,7 @@ impl ParCtx<'_, '_> {
             None => self.shared.memory.load(addr),
         };
         let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-        spec.record_exposed_read(addr, value, 0);
+        spec.push_new(addr).apply_exposed_read(value, 0);
         value
     }
 
@@ -943,9 +913,12 @@ impl ParCtx<'_, '_> {
         if self.overflow {
             return;
         }
-        {
+        // The probe stays valid after the lock is released: only the
+        // owning worker mutates its buffer.
+        let found = {
             let spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            if spec.would_overflow(addr) {
+            let found = spec.find(addr);
+            if found.is_none() && spec.is_full() {
                 drop(spec);
                 if self.head_mode {
                     // The head absorbs overflow by writing through:
@@ -960,13 +933,18 @@ impl ParCtx<'_, '_> {
                 }
                 return;
             }
-        }
+            found
+        };
         // Dekker, writer side: record the entry (so a reader that sees
         // the bit finds the value), publish the write bit, then scan for
         // younger readers that got ahead of us.
         {
             let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            spec.record_write(addr, value, 0);
+            match found {
+                Some(pos) => spec.entry_at(pos),
+                None => spec.push_new(addr),
+            }
+            .apply_write(value, 0);
         }
         self.shared.write_mask[addr.0 as usize].fetch_or(1u32 << self.p, SeqCst);
         self.check_violations(addr);

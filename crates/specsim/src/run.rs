@@ -25,11 +25,10 @@ use crate::report::{ProgramReport, SimReport, SpeedupComparison};
 use refidem_analysis::classify::VarClass;
 use refidem_core::cache::AnalysisTally;
 use refidem_core::label::{LabeledProgram, LabeledRegion};
-use refidem_ir::exec::{CountingStore, DataStore, DynCounts, ExecError, PlainStore, SegmentExec};
+use refidem_ir::exec::{CountingStore, DataStore, DynCounts, ExecError, PlainStore};
 use refidem_ir::ids::RefId;
 use refidem_ir::lowered::{
-    fused::fuse, lower, lower_with_ranges, ExecBackend, ExecBuffers, LowerKey, LowerUnit,
-    LoweredSegmentExec,
+    compile_unit, lower, lower_with_ranges, ExecBuffers, LowerKey, LowerUnit, TierExec,
 };
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::program::{Procedure, Program};
@@ -254,16 +253,44 @@ pub fn initial_memory_with_layout(layout: &Layout) -> Memory {
     })
 }
 
+/// Resolves a labeled region's procedure, its layout and the region loop's
+/// index in the procedure's top-level body.
 fn resolve<'a>(
     program: &'a Program,
     labeled: &LabeledRegion,
-) -> Result<(&'a Procedure, &'a VarTable, Layout), SimError> {
+) -> Result<(&'a Procedure, Layout, usize), SimError> {
     let proc = program
         .procedures
         .get(labeled.analysis.spec.proc.index())
         .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
-    let layout = Layout::new(&proc.vars);
-    Ok((proc, &proc.vars, layout))
+    let label = &labeled.analysis.spec.loop_label;
+    let stmt_index = proc
+        .body
+        .iter()
+        .position(|s| matches!(s, Stmt::Loop(l) if l.label.as_deref() == Some(label.as_str())))
+        .ok_or_else(|| SimError::Region(format!("region `{label}` is not a top-level loop")))?;
+    Ok((proc, Layout::new(&proc.vars), stmt_index))
+}
+
+/// Resolves a labeled program's procedure, its layout and its scheduled
+/// regions, each paired with its top-level body index, in program order.
+#[allow(clippy::type_complexity)]
+fn resolve_program<'a>(
+    program: &'a Program,
+    labeled: &'a LabeledProgram,
+) -> Result<(&'a Procedure, Layout, Vec<(usize, &'a LabeledRegion)>), SimError> {
+    let proc = program
+        .procedures
+        .get(labeled.proc.index())
+        .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
+    let regions = labeled
+        .schedule
+        .regions
+        .iter()
+        .zip(&labeled.regions)
+        .map(|(d, lr)| (d.stmt_index, lr))
+        .collect();
+    Ok((proc, Layout::new(&proc.vars), regions))
 }
 
 /// Most segments one region may have; a larger trip count is refused
@@ -292,16 +319,17 @@ fn region_iteration_values(
     Ok((0..trips as i64).map(|t| lo + t * step).collect())
 }
 
-/// Heat selection for the fused tier: a region is *hot* when the fused
-/// backend is active, the loop is a plain counted DO (no WHILE
-/// condition), its bounds are compile-time constants after parameter
-/// substitution, and the trip count reaches the config's
-/// [`fuse_min_trips`](SimConfig::fuse_min_trips) threshold. Cold regions
-/// — and every region under the non-fused backends — run plain bytecode
-/// under the classic cache keys, so the two tiers never alias a cache
-/// entry.
-fn region_is_hot(cfg: &SimConfig, vars: &VarTable, region: &refidem_ir::stmt::LoopStmt) -> bool {
-    if cfg.backend != ExecBackend::Fused || region.while_cond.is_some() {
+/// Trip count from which a region with constant bounds counts as hot.
+const FUSE_MIN_TRIPS: usize = 2;
+
+/// Heat selection for the fused tier: a region is *hot* when the loop is a
+/// plain counted DO (no WHILE condition), its bounds are compile-time
+/// constants after parameter substitution, and the trip count reaches
+/// [`FUSE_MIN_TRIPS`]. [`compile_unit`] fuses hot regions under the fused
+/// backend only; cold regions run plain bytecode under the classic cache
+/// keys, so the two tiers never alias a cache entry.
+fn region_is_hot(vars: &VarTable, region: &refidem_ir::stmt::LoopStmt) -> bool {
+    if region.while_cond.is_some() {
         return false;
     }
     let lower = region.lower.substitute_params(&|v| vars.param_value(v));
@@ -310,133 +338,27 @@ fn region_is_hot(cfg: &SimConfig, vars: &VarTable, region: &refidem_ir::stmt::Lo
         return false;
     }
     refidem_ir::stmt::LoopStmt::trip_count(lower.constant, upper.constant, region.step)
-        >= cfg.fuse_min_trips
+        >= FUSE_MIN_TRIPS
 }
 
 /// Statement budget of the sequential (non-engine) portions of a run.
 const SEQ_STEP_BUDGET: usize = 200_000_000;
 
-fn run_stmts_plain(
-    vars: &VarTable,
-    layout: &Layout,
-    stmts: &[refidem_ir::stmt::Stmt],
-    memory: &mut Memory,
-    cfg: &SimConfig,
-    key: LowerKey,
-    tally: &mut AnalysisTally,
-) -> Result<(), SimError> {
-    if stmts.is_empty() {
-        return Ok(());
-    }
-    let mut store = PlainStore::new(memory);
-    match cfg.backend {
-        // Serial statement spans are never regions, so the fused tier runs
-        // them as plain bytecode and shares the lowered tier's cache keys.
-        ExecBackend::Lowered | ExecBackend::Fused => {
-            let outcome = cfg
-                .cache
-                .get_or_insert_with(key, || lower(vars, layout, stmts));
-            tally.count(outcome.hit, outcome.evicted);
-            LoweredSegmentExec::new(&outcome.value, &[])
-                .run(&mut store, SEQ_STEP_BUDGET)
-                .map_err(SimError::Exec)
-        }
-        ExecBackend::TreeWalk => SegmentExec::new(vars, layout, stmts, &[])
-            .run(&mut store, SEQ_STEP_BUDGET)
-            .map_err(SimError::Exec),
-    }
-}
-
 /// Runs the labeled region's procedure fully sequentially, timing the region
 /// with the non-speculative latency of `cfg` and collecting dynamic
-/// reference counts inside the region.
+/// reference counts inside the region — the one-region case of
+/// [`run_program_sequential`].
 pub fn run_sequential(
     program: &Program,
     labeled: &LabeledRegion,
     cfg: &SimConfig,
 ) -> Result<SeqOutcome, SimError> {
-    let (proc, vars, layout) = resolve(program, labeled)?;
-    let label = &labeled.analysis.spec.loop_label;
-    let (before, region, after) = proc
-        .split_at_loop(label)
-        .ok_or_else(|| SimError::Region(format!("region `{label}` is not a top-level loop")))?;
-    let mut memory = initial_memory_with_layout(&layout);
-    // The sequential baseline still compiles through the cache, but its
-    // outcome has no statistics report to surface the traffic on — the
-    // tally is deliberately discarded ([`SimReport`]'s counters cover the
-    // speculative runs, which is where sweeps spend their time).
-    let mut tally = AnalysisTally::default();
-    run_stmts_plain(
-        vars,
-        &layout,
-        before,
-        &mut memory,
-        cfg,
-        LowerKey::new(proc, label, LowerUnit::Prologue),
-        &mut tally,
-    )?;
-    // Time the region on one processor: every access costs `lat_nonspec`
-    // and every statement unit `stmt_cost`, so the cycle count follows
-    // directly from the dynamic counts — no separate timing store needed.
-    let (region_cycles, counts) = {
-        let mut store = CountingStore::new(PlainStore::new(&mut memory));
-        let region_stmt = std::slice::from_ref(
-            proc.body
-                .iter()
-                .find(|s| matches!(s, refidem_ir::stmt::Stmt::Loop(l) if l.label.as_deref() == Some(label.as_str())))
-                .expect("region loop present"),
-        );
-        let steps = match cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => {
-                let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(cfg, vars, l));
-                let unit = if hot {
-                    LowerUnit::FusedRegionLoop
-                } else {
-                    LowerUnit::RegionLoop
-                };
-                let outcome =
-                    cfg.cache
-                        .get_or_insert_with(LowerKey::new(proc, label, unit), || {
-                            let base = lower(vars, &layout, region_stmt);
-                            if hot {
-                                fuse(&base)
-                            } else {
-                                base
-                            }
-                        });
-                tally.count(outcome.hit, outcome.evicted);
-                let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-            ExecBackend::TreeWalk => {
-                let mut exec = SegmentExec::new(vars, &layout, region_stmt, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-        };
-        let accesses: u64 = store.counts.values().map(|(r, w)| r + w).sum();
-        (
-            accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost,
-            store.counts,
-        )
-    };
-    let _ = region;
-    run_stmts_plain(
-        vars,
-        &layout,
-        after,
-        &mut memory,
-        cfg,
-        LowerKey::new(proc, label, LowerUnit::Epilogue),
-        &mut tally,
-    )?;
+    let (proc, layout, stmt_index) = resolve(program, labeled)?;
+    let mut seq = run_schedule_sequential(proc, &layout, &[(stmt_index, labeled)], cfg)?;
     Ok(SeqOutcome {
-        memory,
-        region_cycles,
-        region_counts: counts,
+        memory: seq.memory,
+        region_cycles: seq.region_cycles[0],
+        region_counts: seq.region_counts.pop().expect("one scheduled region"),
     })
 }
 
@@ -462,7 +384,7 @@ impl DataStore for TallyStore<'_> {
 }
 
 /// Runs one serial statement span on one processor and returns its cycle
-/// cost. The bytecode executor is built on `bufs` and hands them back.
+/// cost. A bytecode executor is built on `bufs` and hands them back.
 #[allow(clippy::too_many_arguments)]
 fn run_serial_span(
     vars: &VarTable,
@@ -477,43 +399,66 @@ fn run_serial_span(
     if stmts.is_empty() {
         return Ok(0);
     }
+    // Serial spans are never regions, so they are never hot.
+    let compiled = compile_unit(cfg.backend, &cfg.cache, Some(key), false, || {
+        lower(vars, layout, stmts)
+    });
+    if let Some(c) = &compiled {
+        tally.count(c.hit, c.evicted);
+    }
     let mut store = TallyStore {
         inner: PlainStore::new(memory),
         accesses: 0,
     };
-    let steps = match cfg.backend {
-        // Serial spans stay on the plain tier under the fused backend too
-        // (see `run_stmts_plain`).
-        ExecBackend::Lowered | ExecBackend::Fused => {
-            let outcome = cfg
-                .cache
-                .get_or_insert_with(key, || lower(vars, layout, stmts));
-            tally.count(outcome.hit, outcome.evicted);
-            let mut exec =
-                LoweredSegmentExec::with_buffers(&outcome.value, &[], std::mem::take(bufs));
-            let result = exec.run(&mut store, SEQ_STEP_BUDGET);
-            let steps = exec.steps();
-            *bufs = exec.into_buffers();
-            result.map_err(SimError::Exec)?;
-            steps
-        }
-        ExecBackend::TreeWalk => {
-            let mut exec = SegmentExec::new(vars, layout, stmts, &[]);
-            exec.run(&mut store, SEQ_STEP_BUDGET)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-    };
+    let compiled = compiled.as_ref().map(|c| &*c.value);
+    let mut exec = TierExec::with_buffers(compiled, vars, layout, stmts, &[], bufs);
+    let result = exec.run(&mut store, SEQ_STEP_BUDGET);
+    let steps = exec.steps();
+    if let Some(parked) = exec.into_buffers() {
+        *bufs = parked;
+    }
+    result.map_err(SimError::Exec)?;
     Ok(store.accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost)
+}
+
+/// Runs the whole loop of the region at body index `stmt_index` on one
+/// processor through `store` (the [`LowerUnit::RegionLoop`] unit, heat
+/// selected like the region's body) and returns the statement units it
+/// executed. The sequential baseline and the serial fallback of a degraded
+/// region both run a region through here, which is why degraded memory is
+/// byte-identical to the baseline's.
+fn run_region_loop(
+    proc: &Procedure,
+    layout: &Layout,
+    stmt_index: usize,
+    label: &str,
+    cfg: &SimConfig,
+    store: &mut impl DataStore,
+    tally: &mut AnalysisTally,
+) -> Result<usize, SimError> {
+    let vars = &proc.vars;
+    let region_stmt = std::slice::from_ref(&proc.body[stmt_index]);
+    let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(vars, l));
+    let key = LowerKey::new(proc, label, LowerUnit::RegionLoop);
+    let compiled = compile_unit(cfg.backend, &cfg.cache, Some(key), hot, || {
+        lower(vars, layout, region_stmt)
+    });
+    if let Some(c) = &compiled {
+        tally.count(c.hit, c.evicted);
+    }
+    let compiled = compiled.as_ref().map(|c| &*c.value);
+    let mut exec = TierExec::new(compiled, vars, layout, region_stmt, &[]);
+    exec.run(store, cfg.max_statements as usize)
+        .map_err(SimError::Exec)?;
+    Ok(exec.steps())
 }
 
 /// The serial fallback: re-executes one region's whole loop sequentially
 /// after its speculative run exhausted a degradation budget, and reports
-/// it as a degraded region. This is the same execution (and the same
-/// [`LowerUnit::RegionLoop`] cache entry) the sequential baseline
-/// performs, so the resulting memory is byte-identical to the oracle by
-/// construction — the guarantee that keeps chaos campaigns exact even at
-/// 100% injected misspeculation.
+/// it as a degraded region. It runs [`run_region_loop`] like the
+/// sequential baseline, so the resulting memory is byte-identical to the
+/// oracle — the guarantee that keeps chaos campaigns exact even at 100%
+/// injected misspeculation.
 #[allow(clippy::too_many_arguments)]
 fn run_region_serially(
     proc: &Procedure,
@@ -527,46 +472,11 @@ fn run_region_serially(
     memory: &mut Memory,
     tally: &mut AnalysisTally,
 ) -> Result<SimReport, SimError> {
-    let vars = &proc.vars;
-    let region_stmt = std::slice::from_ref(&proc.body[stmt_index]);
     let mut store = TallyStore {
         inner: PlainStore::new(memory),
         accesses: 0,
     };
-    let steps = match cfg.backend {
-        // The fallback picks the exact tier (and cache entry) the
-        // sequential baseline would, so degraded memory stays
-        // byte-identical to the oracle by construction.
-        ExecBackend::Lowered | ExecBackend::Fused => {
-            let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(cfg, vars, l));
-            let unit = if hot {
-                LowerUnit::FusedRegionLoop
-            } else {
-                LowerUnit::RegionLoop
-            };
-            let outcome = cfg
-                .cache
-                .get_or_insert_with(LowerKey::new(proc, label, unit), || {
-                    let base = lower(vars, layout, region_stmt);
-                    if hot {
-                        fuse(&base)
-                    } else {
-                        base
-                    }
-                });
-            tally.count(outcome.hit, outcome.evicted);
-            let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
-            exec.run(&mut store, cfg.max_statements as usize)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-        ExecBackend::TreeWalk => {
-            let mut exec = SegmentExec::new(vars, layout, region_stmt, &[]);
-            exec.run(&mut store, cfg.max_statements as usize)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-    };
+    let steps = run_region_loop(proc, layout, stmt_index, label, cfg, &mut store, tally)?;
     Ok(SimReport {
         mode: Some(mode),
         segments,
@@ -671,41 +581,19 @@ fn simulate_schedule(
         // loop's constant bounds, so it is the same for every call that
         // shares the cache key.
         let mut region_tally = AnalysisTally::default();
-        let lowered = match cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => {
-                let index_range = match (iter_values.iter().min(), iter_values.iter().max()) {
-                    (Some(&lo), Some(&hi)) => Some((region.index, (lo, hi))),
-                    _ => None,
-                };
-                // Heat-select the tier: hot regions compile their segment
-                // body through `fuse` under a fused-tier key; cold regions
-                // share the plain tier's entry.
-                let hot = region_is_hot(cfg, vars, region);
-                let unit = if hot {
-                    LowerUnit::FusedRegionBody
-                } else {
-                    LowerUnit::RegionBody
-                };
-                let outcome =
-                    cfg.cache
-                        .get_or_insert_with(LowerKey::new(proc, label.as_str(), unit), || {
-                            let base = lower_with_ranges(
-                                vars,
-                                layout,
-                                &region.body,
-                                index_range.as_slice(),
-                            );
-                            if hot {
-                                fuse(&base)
-                            } else {
-                                base
-                            }
-                        });
-                region_tally.count(outcome.hit, outcome.evicted);
-                Some(outcome.value)
-            }
-            ExecBackend::TreeWalk => None,
-        };
+        let key = LowerKey::new(proc, label.as_str(), LowerUnit::RegionBody);
+        let hot = region_is_hot(vars, region);
+        let lowered = compile_unit(cfg.backend, &cfg.cache, Some(key), hot, || {
+            let index_range = match (iter_values.iter().min(), iter_values.iter().max()) {
+                (Some(&lo), Some(&hi)) => Some((region.index, (lo, hi))),
+                _ => None,
+            };
+            lower_with_ranges(vars, layout, &region.body, index_range.as_slice())
+        });
+        if let Some(c) = &lowered {
+            region_tally.count(c.hit, c.evicted);
+        }
+        let lowered = lowered.as_ref().map(|c| &*c.value);
         let segments = iter_values.len();
         // Arm the serial fallback: under the in-place simulator a failed
         // run has already committed earlier segments and written through
@@ -727,7 +615,7 @@ fn simulate_schedule(
                 vars,
                 layout,
                 region,
-                lowered.as_deref(),
+                lowered,
                 iter_values,
                 &mut scratch,
                 &mut memory,
@@ -740,7 +628,7 @@ fn simulate_schedule(
                 vars,
                 layout,
                 region,
-                lowered.as_deref(),
+                lowered,
                 iter_values,
                 &mut memory,
             ),
@@ -811,18 +699,7 @@ pub fn simulate_program(
     mode: ExecMode,
     cfg: &SimConfig,
 ) -> Result<ProgramOutcome, SimError> {
-    let proc = program
-        .procedures
-        .get(labeled.proc.index())
-        .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
-    let layout = Layout::new(&proc.vars);
-    let regions: Vec<(usize, &LabeledRegion)> = labeled
-        .schedule
-        .regions
-        .iter()
-        .zip(&labeled.regions)
-        .map(|(d, lr)| (d.stmt_index, lr))
-        .collect();
+    let (proc, layout, regions) = resolve_program(program, labeled)?;
     let (report, memory) = simulate_schedule(proc, &layout, &regions, mode, cfg)?;
     Ok(ProgramOutcome { report, memory })
 }
@@ -836,13 +713,7 @@ pub fn simulate_region(
     mode: ExecMode,
     cfg: &SimConfig,
 ) -> Result<SimOutcome, SimError> {
-    let (proc, _vars, layout) = resolve(program, labeled)?;
-    let label = &labeled.analysis.spec.loop_label;
-    let stmt_index = proc
-        .body
-        .iter()
-        .position(|s| matches!(s, Stmt::Loop(l) if l.label.as_deref() == Some(label.as_str())))
-        .ok_or_else(|| SimError::Region(format!("region `{label}` is not a top-level loop")))?;
+    let (proc, layout, stmt_index) = resolve(program, labeled)?;
     let (program_report, memory) =
         simulate_schedule(proc, &layout, &[(stmt_index, labeled)], mode, cfg)?;
     let mut report = program_report
@@ -930,20 +801,24 @@ pub fn run_program_sequential(
     labeled: &LabeledProgram,
     cfg: &SimConfig,
 ) -> Result<SeqProgramOutcome, SimError> {
-    let proc = program
-        .procedures
-        .get(labeled.proc.index())
-        .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
+    let (proc, layout, regions) = resolve_program(program, labeled)?;
+    run_schedule_sequential(proc, &layout, &regions, cfg)
+}
+
+/// Executes a whole schedule on one processor: serial spans and regions
+/// alike run sequentially, each region through [`run_region_loop`] with
+/// per-site counting. `regions` pairs each labeled region with its
+/// top-level body index, in program order.
+fn run_schedule_sequential(
+    proc: &Procedure,
+    layout: &Layout,
+    regions: &[(usize, &LabeledRegion)],
+    cfg: &SimConfig,
+) -> Result<SeqProgramOutcome, SimError> {
     let vars = &proc.vars;
-    let layout = Layout::new(&proc.vars);
-    let regions: Vec<(usize, &LabeledRegion)> = labeled
-        .schedule
-        .regions
-        .iter()
-        .zip(&labeled.regions)
-        .map(|(d, lr)| (d.stmt_index, lr))
-        .collect();
-    let mut memory = initial_memory_with_layout(&layout);
+    let mut memory = initial_memory_with_layout(layout);
+    // The baseline compiles through the cache too, but its outcome has no
+    // report to surface the traffic on, so the tally is discarded.
     let mut tally = AnalysisTally::default();
     let mut serial_cycles = 0u64;
     let mut region_cycles = Vec::with_capacity(regions.len());
@@ -952,11 +827,11 @@ pub fn run_program_sequential(
     for (i, (stmt_index, labeled_region)) in regions.iter().enumerate() {
         serial_cycles += run_serial_span(
             vars,
-            &layout,
+            layout,
             &proc.body[cursor..*stmt_index],
             &mut memory,
             cfg,
-            serial_span_key(proc, &regions, i, cursor),
+            serial_span_key(proc, regions, i, cursor),
             &mut tally,
             // Fresh buffers: the baseline's host time stays what it was
             // before the engine pooled its executors.
@@ -965,50 +840,27 @@ pub fn run_program_sequential(
         cursor = stmt_index + 1;
         let label = &labeled_region.analysis.spec.loop_label;
         schedule_loop(proc, *stmt_index, label)?;
-        let region_stmt = std::slice::from_ref(&proc.body[*stmt_index]);
         let mut store = CountingStore::new(PlainStore::new(&mut memory));
-        let steps = match cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => {
-                let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(cfg, vars, l));
-                let unit = if hot {
-                    LowerUnit::FusedRegionLoop
-                } else {
-                    LowerUnit::RegionLoop
-                };
-                let outcome =
-                    cfg.cache
-                        .get_or_insert_with(LowerKey::new(proc, label.as_str(), unit), || {
-                            let base = lower(vars, &layout, region_stmt);
-                            if hot {
-                                fuse(&base)
-                            } else {
-                                base
-                            }
-                        });
-                tally.count(outcome.hit, outcome.evicted);
-                let mut exec = LoweredSegmentExec::new(&outcome.value, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-            ExecBackend::TreeWalk => {
-                let mut exec = SegmentExec::new(vars, &layout, region_stmt, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-        };
+        let steps = run_region_loop(
+            proc,
+            layout,
+            *stmt_index,
+            label,
+            cfg,
+            &mut store,
+            &mut tally,
+        )?;
         let accesses: u64 = store.counts.values().map(|(r, w)| r + w).sum();
         region_cycles.push(accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost);
         region_counts.push(store.counts);
     }
     serial_cycles += run_serial_span(
         vars,
-        &layout,
+        layout,
         &proc.body[cursor..],
         &mut memory,
         cfg,
-        serial_span_key(proc, &regions, regions.len(), cursor),
+        serial_span_key(proc, regions, regions.len(), cursor),
         &mut tally,
         &mut ExecBuffers::default(),
     )?;
@@ -1106,7 +958,7 @@ pub fn verify_against_sequential(
     mode: ExecMode,
     cfg: &SimConfig,
 ) -> Result<Vec<(Addr, f64, f64)>, SimError> {
-    let (proc, _vars, layout) = resolve(program, labeled)?;
+    let (proc, layout, _) = resolve(program, labeled)?;
     let seq = run_sequential(program, labeled, cfg)?;
     let sim = simulate_region(program, labeled, mode, cfg)?;
     // Addresses of private variables are excluded from the comparison.

@@ -46,8 +46,7 @@ pub struct SpecEntry {
 
 impl SpecEntry {
     /// Applies a write of `value` performed at time `now`. Every write path
-    /// (the engine's one-probe access, [`SpecBuffer::record_write`]) goes
-    /// through here.
+    /// of both runtimes goes through here.
     #[inline]
     pub fn apply_write(&mut self, value: f64, now: u64) {
         self.value = value;
@@ -95,11 +94,14 @@ struct IndexSlot {
 /// use refidem_ir::memory::Addr;
 ///
 /// let mut buf = SpecBuffer::new(2, 16);
-/// buf.record_exposed_read(Addr(3), 1.5, 10);
-/// buf.record_write(Addr(7), 2.0, 11);
+/// assert_eq!(buf.find(Addr(3)), None);
+/// buf.push_new(Addr(3)).apply_exposed_read(1.5, 10);
+/// buf.push_new(Addr(7)).apply_write(2.0, 11);
 /// assert!(buf.has_exposed_read(Addr(3)) && buf.has_written(Addr(7)));
-/// assert!(buf.would_overflow(Addr(9)), "capacity 2 is full");
-/// assert_eq!(buf.dirty_entries(), vec![(Addr(7), 2.0)]);
+/// let pos = buf.find(Addr(7)).expect("resident");
+/// buf.entry_at(pos).apply_write(2.5, 12); // a hit allocates nothing
+/// assert!(buf.find(Addr(9)).is_none() && buf.is_full(), "capacity 2 is full");
+/// assert_eq!(buf.written().collect::<Vec<_>>(), vec![(Addr(7), 2.5)]);
 /// buf.clear(); // O(1) epoch bump, e.g. on roll-back
 /// assert!(buf.is_empty());
 /// ```
@@ -181,7 +183,7 @@ impl SpecBuffer {
 
     /// The journal position of `addr`'s entry in the current epoch, or
     /// `None` when the buffer holds no entry for it. This is the one probe
-    /// of the dense index an access needs: the engine follows it with
+    /// of the dense index an access needs: both runtimes follow it with
     /// [`entry_at`](Self::entry_at) on a hit, or with
     /// [`is_full`](Self::is_full) and [`push_new`](Self::push_new) on a
     /// miss.
@@ -222,12 +224,6 @@ impl SpecBuffer {
         &mut self.journal[pos].1
     }
 
-    /// True when allocating one more (new) entry for `addr` would exceed the
-    /// capacity.
-    pub fn would_overflow(&self, addr: Addr) -> bool {
-        self.find(addr).is_none() && self.is_full()
-    }
-
     /// Looks an entry up.
     #[inline]
     pub fn get(&self, addr: Addr) -> Option<&SpecEntry> {
@@ -246,33 +242,10 @@ impl SpecBuffer {
         self.get(addr).is_some_and(|e| e.exposed_read)
     }
 
-    /// The entry for `addr` in the current epoch, allocated if absent. The
-    /// caller must have handled overflow beforehand.
-    #[inline]
-    fn entry_mut(&mut self, addr: Addr) -> &mut SpecEntry {
-        match self.find(addr) {
-            Some(pos) => self.entry_at(pos),
-            None => self.push_new(addr),
-        }
-    }
-
-    /// Records a write performed at time `now`. The caller must have handled
-    /// overflow beforehand (via [`SpecBuffer::would_overflow`]).
-    pub fn record_write(&mut self, addr: Addr, value: f64, now: u64) {
-        self.entry_mut(addr).apply_write(value, now);
-    }
-
-    /// Records an exposed read that obtained `value` from outside the
-    /// segment at time `now`. The caller must have handled overflow
-    /// beforehand.
-    pub fn record_exposed_read(&mut self, addr: Addr, value: f64, now: u64) {
-        self.entry_mut(addr).apply_exposed_read(value, now);
-    }
-
     /// Values written by the segment, in touch order, borrowed straight
     /// from the journal (no allocation). The journal holds each address at
     /// most once, so storing these in any order leaves the same memory —
-    /// which is how the engine commits in place.
+    /// which is how both runtimes commit in place.
     pub fn written(&self) -> impl Iterator<Item = (Addr, f64)> + '_ {
         debug_assert!(
             self.journal.iter().enumerate().all(|(pos, (a, _))| {
@@ -287,9 +260,9 @@ impl SpecBuffer {
             .map(|(a, e)| (Addr(*a), e.value))
     }
 
-    /// Values written by the segment, in address order (what a commit
-    /// transfers to non-speculative storage). Iterates the journal, never
-    /// the address space.
+    /// Values written by the segment, in address order: the sorted reference
+    /// the in-place commit of [`written`](Self::written) is tested against.
+    /// Iterates the journal, never the address space.
     pub fn dirty_entries(&self) -> Vec<(Addr, f64)> {
         let mut dirty: Vec<(Addr, f64)> = self.written().collect();
         dirty.sort_unstable_by_key(|(a, _)| *a);
@@ -402,45 +375,64 @@ mod tests {
     /// Address-space size used by most tests.
     const WORDS: u64 = 64;
 
+    /// `addr`'s entry through the one-probe path, allocated on a miss (the
+    /// caller has ruled out overflow).
+    fn entry(b: &mut SpecBuffer, addr: Addr) -> &mut SpecEntry {
+        match b.find(addr) {
+            Some(pos) => b.entry_at(pos),
+            None => b.push_new(addr),
+        }
+    }
+
+    fn write(b: &mut SpecBuffer, addr: Addr, value: f64, now: u64) {
+        entry(b, addr).apply_write(value, now);
+    }
+
+    fn exposed_read(b: &mut SpecBuffer, addr: Addr, value: f64, now: u64) {
+        entry(b, addr).apply_exposed_read(value, now);
+    }
+
+    /// True when touching `addr` would need an entry that does not fit.
+    fn overflows(b: &SpecBuffer, addr: Addr) -> bool {
+        b.find(addr).is_none() && b.is_full()
+    }
+
     #[test]
     fn writes_and_exposed_reads_are_tracked_separately() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_exposed_read(Addr(10), 1.5, 7);
+        exposed_read(&mut b, Addr(10), 1.5, 7);
         assert!(b.has_exposed_read(Addr(10)));
         assert!(!b.has_written(Addr(10)));
         assert_eq!(b.get(Addr(10)).unwrap().value, 1.5);
         assert_eq!(b.get(Addr(10)).unwrap().first_read_time, 7);
         // A later write to the same address marks it dirty but keeps the
         // exposed-read flag (the premature read already happened).
-        b.record_write(Addr(10), 2.0, 8);
+        write(&mut b, Addr(10), 2.0, 8);
         assert!(b.has_written(Addr(10)));
         assert!(b.has_exposed_read(Addr(10)));
         assert_eq!(b.get(Addr(10)).unwrap().value, 2.0);
         assert_eq!(b.get(Addr(10)).unwrap().last_write_time, 8);
         // A covered read (after a local write) does not set the exposed flag:
-        // the engine simply does not call record_exposed_read in that case.
+        // an access simply does not apply an exposed read in that case.
         assert_eq!(b.dirty_count(), 1);
     }
 
     #[test]
     fn exposed_read_does_not_clobber_written_value() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_write(Addr(3), 9.0, 1);
-        b.record_exposed_read(Addr(3), 1.0, 2);
+        write(&mut b, Addr(3), 9.0, 1);
+        exposed_read(&mut b, Addr(3), 1.0, 2);
         assert_eq!(b.get(Addr(3)).unwrap().value, 9.0);
     }
 
     #[test]
     fn capacity_and_peak_tracking() {
         let mut b = SpecBuffer::new(2, WORDS);
-        assert!(!b.would_overflow(Addr(1)));
-        b.record_write(Addr(1), 1.0, 1);
-        b.record_write(Addr(2), 2.0, 2);
-        assert!(b.would_overflow(Addr(3)));
-        assert!(
-            !b.would_overflow(Addr(1)),
-            "existing entries never overflow"
-        );
+        assert!(!overflows(&b, Addr(1)));
+        write(&mut b, Addr(1), 1.0, 1);
+        write(&mut b, Addr(2), 2.0, 2);
+        assert!(overflows(&b, Addr(3)));
+        assert!(!overflows(&b, Addr(1)), "existing entries never overflow");
         assert_eq!(b.peak(), 2);
         assert_eq!(b.len(), 2);
         let dirty = b.dirty_entries();
@@ -454,16 +446,16 @@ mod tests {
     #[test]
     fn first_read_time_is_preserved_across_repeated_reads() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_exposed_read(Addr(5), 1.0, 10);
-        b.record_exposed_read(Addr(5), 1.0, 99);
+        exposed_read(&mut b, Addr(5), 1.0, 10);
+        exposed_read(&mut b, Addr(5), 1.0, 99);
         assert_eq!(b.get(Addr(5)).unwrap().first_read_time, 10);
     }
 
     #[test]
     fn clear_invalidates_stale_entries_without_touching_them() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_write(Addr(7), 1.0, 1);
-        b.record_exposed_read(Addr(9), 2.0, 2);
+        write(&mut b, Addr(7), 1.0, 1);
+        exposed_read(&mut b, Addr(9), 2.0, 2);
         b.clear();
         // Epoch bump: every previous entry is invisible.
         assert_eq!(b.get(Addr(7)), None);
@@ -472,7 +464,7 @@ mod tests {
         assert_eq!(b.dirty_count(), 0);
         assert_eq!(b.dirty_entries().len(), 0);
         // Re-touching a stale address yields a fresh default entry.
-        b.record_exposed_read(Addr(7), 5.0, 3);
+        exposed_read(&mut b, Addr(7), 5.0, 3);
         let e = b.get(Addr(7)).unwrap();
         assert!(!e.written, "stale written flag must not leak across epochs");
         assert_eq!(e.value, 5.0);
@@ -482,10 +474,10 @@ mod tests {
     #[test]
     fn dirty_entries_are_sorted_by_address_regardless_of_touch_order() {
         let mut b = SpecBuffer::new(8, WORDS);
-        b.record_write(Addr(30), 3.0, 1);
-        b.record_write(Addr(5), 1.0, 2);
-        b.record_exposed_read(Addr(12), 9.0, 3);
-        b.record_write(Addr(20), 2.0, 4);
+        write(&mut b, Addr(30), 3.0, 1);
+        write(&mut b, Addr(5), 1.0, 2);
+        exposed_read(&mut b, Addr(12), 9.0, 3);
+        write(&mut b, Addr(20), 2.0, 4);
         let dirty = b.dirty_entries();
         assert_eq!(
             dirty,
@@ -509,14 +501,14 @@ mod tests {
         // A mixed journal in scrambled touch order: read-only entries,
         // read-then-write, a rewrite and a read after a local write.
         let mut b = SpecBuffer::new(16, WORDS);
-        b.record_exposed_read(Addr(40), 4.0, 1);
-        b.record_write(Addr(9), 1.0, 2);
-        b.record_exposed_read(Addr(3), 3.0, 3);
-        b.record_write(Addr(40), 5.0, 4);
-        b.record_write(Addr(9), 1.5, 5);
-        b.record_write(Addr(21), 2.0, 6);
-        b.record_exposed_read(Addr(21), 7.0, 7);
-        b.record_write(Addr(0), 8.0, 8);
+        exposed_read(&mut b, Addr(40), 4.0, 1);
+        write(&mut b, Addr(9), 1.0, 2);
+        exposed_read(&mut b, Addr(3), 3.0, 3);
+        write(&mut b, Addr(40), 5.0, 4);
+        write(&mut b, Addr(9), 1.5, 5);
+        write(&mut b, Addr(21), 2.0, 6);
+        exposed_read(&mut b, Addr(21), 7.0, 7);
+        write(&mut b, Addr(0), 8.0, 8);
 
         let mut in_place = initial.clone();
         for (addr, value) in b.written() {
@@ -546,7 +538,7 @@ mod tests {
     #[should_panic(expected = "journal addresses must be unique")]
     fn a_duplicate_journal_address_trips_the_debug_assertion() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_write(Addr(5), 1.0, 1);
+        write(&mut b, Addr(5), 1.0, 1);
         let duplicate = b.journal[0];
         b.journal.push(duplicate);
         let _ = b.written().count();
@@ -556,15 +548,15 @@ mod tests {
     fn capacity_one_boundary_overflow_and_rollback() {
         // The smallest rung of the testkit's capacity ladder: one entry.
         let mut b = SpecBuffer::new(1, WORDS);
-        assert!(!b.would_overflow(Addr(0)), "first allocation always fits");
-        b.record_write(Addr(0), 1.0, 1);
+        assert!(!overflows(&b, Addr(0)), "first allocation always fits");
+        write(&mut b, Addr(0), 1.0, 1);
         assert_eq!(b.len(), 1);
         assert_eq!(b.peak(), 1);
         // Any *other* address overflows; the resident one never does.
-        assert!(b.would_overflow(Addr(1)));
-        assert!(b.would_overflow(Addr(63)));
-        assert!(!b.would_overflow(Addr(0)));
-        b.record_exposed_read(Addr(0), 2.0, 2);
+        assert!(overflows(&b, Addr(1)));
+        assert!(overflows(&b, Addr(63)));
+        assert!(!overflows(&b, Addr(0)));
+        exposed_read(&mut b, Addr(0), 2.0, 2);
         assert_eq!(
             b.len(),
             1,
@@ -573,9 +565,9 @@ mod tests {
         // Roll-back: the buffer is empty again and the *other* address can
         // now take the single slot.
         b.clear();
-        assert!(!b.would_overflow(Addr(1)));
-        b.record_write(Addr(1), 7.0, 3);
-        assert!(b.would_overflow(Addr(0)));
+        assert!(!overflows(&b, Addr(1)));
+        write(&mut b, Addr(1), 7.0, 3);
+        assert!(overflows(&b, Addr(0)));
         assert_eq!(b.dirty_entries(), vec![(Addr(1), 7.0)]);
     }
 
@@ -586,14 +578,14 @@ mod tests {
         let words = 16u64;
         let mut b = SpecBuffer::new(words as usize, words);
         for a in 0..words {
-            assert!(!b.would_overflow(Addr(a)), "address {a} must fit");
-            b.record_write(Addr(a), a as f64, a);
+            assert!(!overflows(&b, Addr(a)), "address {a} must fit");
+            write(&mut b, Addr(a), a as f64, a);
         }
         assert_eq!(b.len(), words as usize);
         assert_eq!(b.peak(), words as usize);
         // Full but every address is resident: still no overflow anywhere.
         for a in 0..words {
-            assert!(!b.would_overflow(Addr(a)));
+            assert!(!overflows(&b, Addr(a)));
         }
         assert_eq!(b.dirty_count(), words as usize);
         let dirty = b.dirty_entries();
@@ -601,7 +593,7 @@ mod tests {
         assert!(dirty.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
         b.clear();
         assert!(b.is_empty());
-        assert!(!b.would_overflow(Addr(0)));
+        assert!(!overflows(&b, Addr(0)));
     }
 
     /// A small deterministic generator (xorshift64*) for the model test.
@@ -641,27 +633,16 @@ mod tests {
                     } else {
                         let write = op % 2 == 0;
                         let present = model.contains_key(&addr.0);
-                        let overflows = !present && model.len() >= capacity;
+                        let overflow = !present && model.len() >= capacity;
                         assert_eq!(buf.find(addr).is_some(), present);
-                        assert_eq!(buf.would_overflow(addr), overflows);
+                        assert_eq!(overflows(&buf, addr), overflow);
                         assert_eq!(buf.is_full(), model.len() >= capacity);
-                        if !overflows {
-                            // Alternate the one-probe path and the
-                            // record_* wrappers over it.
-                            if op < 5 {
-                                let entry = match buf.find(addr) {
-                                    Some(pos) => buf.entry_at(pos),
-                                    None => buf.push_new(addr),
-                                };
-                                if write {
-                                    entry.apply_write(value, now);
-                                } else {
-                                    entry.apply_exposed_read(value, now);
-                                }
-                            } else if write {
-                                buf.record_write(addr, value, now);
+                        if !overflow {
+                            let slot = entry(&mut buf, addr);
+                            if write {
+                                slot.apply_write(value, now);
                             } else {
-                                buf.record_exposed_read(addr, value, now);
+                                slot.apply_exposed_read(value, now);
                             }
                             if !present {
                                 order.push(addr.0);
@@ -725,7 +706,7 @@ mod tests {
     fn epoch_wraparound_resets_stamps_safely() {
         let mut b = SpecBuffer::new(2, 4);
         // Force the epoch counter all the way around.
-        b.record_write(Addr(0), 1.0, 1);
+        write(&mut b, Addr(0), 1.0, 1);
         b.epoch = u32::MAX;
         b.journal.clear();
         b.peak = 0;
