@@ -23,32 +23,47 @@
 //! GCD reasoning otherwise. Indirect subscripts are treated as
 //! may-dependent in every dimension, exactly as the paper treats `K(E)`.
 //!
-//! # Pairwise-test pruning
+//! # Demand-driven testing
 //!
-//! Naively the tester is quadratic in the number of reference sites, and a
-//! giant straight-line block (FPPPP's 128-statement `TWLDRV_DO100` has
-//! ~400 sites) makes that quadratic term dominate the whole analysis. The
-//! implementation therefore prunes without changing a single verdict:
+//! Labeling reads only two facts per reference site, so the compile path
+//! asks only those two questions. [`SinkSummary::analyze`] goes sink by
+//! sink:
+//!
+//! * **Cross bit** — the site's candidate sources are tested at the region
+//!   level only, and testing stops at the first cross-segment verdict.
+//! * **Intra-segment write sources** — only for a site without the cross
+//!   bit, its write sources (the flow sources of a read, the output
+//!   sources of a write) are tested at the inner-loop and
+//!   loop-independent levels. Anti sources into a write are never
+//!   tested: no labeling condition reads them.
+//!
+//! Both verdicts are memoized per canonical pair of access signatures, in
+//! the spirit of Maydan, Hennessy & Lam, "Efficient and Exact Data
+//! Dependence Analysis" (PLDI 1991). The cross verdict depends only on
+//! the two signatures, so its memo key is `(sig_a, sig_b)`. The intra
+//! verdict also needs `a.order < b.order`, which gates the
+//! loop-independent level. The hundreds of same-shape references of a
+//! giant straight-line block (FPPPP's `TWLDRV_DO100`) then pay for a
+//! handful of distinct tests.
+//!
+//! Two more steps keep the summary's pair loop small:
 //!
 //! * **Partition by base variable** — references to different variables
 //!   never alias under the layout, so cross-variable pairs are never
-//!   enumerated, and a variable with no write site skips pairing entirely.
-//! * **Flat site arena** — per-site facts the tester used to recompute per
+//!   considered, and a variable with no write site skips testing
+//!   entirely.
+//! * **Flat site arena** — per-site facts the tester would recompute per
 //!   pair per level (the [`IndexBounds`] walk and the parameter-folded
-//!   affine view of every subscript) are computed once per site into
-//!   dense, index-addressed vectors.
-//! * **Signature interning + verdict memoization** — each site's access
-//!   signature (access kind, guard context, enclosing-loop vector,
-//!   subscript coefficient vectors) is interned into a dedup table, and
-//!   the test verdict is memoized per canonical signature *pair*: the
-//!   hundreds of same-shape references of a giant block pay for each
-//!   distinct test once.
-//! * **Sharded worklist** — above a site-count threshold the distinct-pair
-//!   worklist is fanned out across scoped worker threads (the worker count
-//!   follows the same `REFIDEM_JOBS` contract as `refidem_specsim`'s
-//!   `SweepExec`, which sits above this crate) with a deterministic
-//!   ordered merge, so the emitted [`DependenceSet`] is byte-identical at
-//!   any worker count.
+//!   affine view of every subscript) are computed once per distinct
+//!   signature.
+//!
+//! [`DependenceSet::analyze`] is the full enumeration: every ordered pair
+//! tested at every level, with no partition, interning or memo, and every
+//! dependence emitted with its kind and distance. It shares only the level
+//! tests with the summary, so it is the reference the summary is tested
+//! against, and what diagnostics print. [`SinkSummary::from_deps`] derives
+//! the summary from any explicit set (the abstract regions of the paper's
+//! Figures 1–3, or the reference enumeration).
 
 use crate::bounds::IndexBounds;
 use refidem_ir::affine::{gcd, AffineExpr};
@@ -182,340 +197,432 @@ impl DependenceSet {
         self.deps.iter().any(|d| d.scope == DepScope::CrossSegment)
     }
 
+    /// Enumerates every may-dependence of a region loop given the
+    /// reference table of its body: for every ordered pair of same-variable
+    /// sites (at least one a write), the cross-segment dependence if one is
+    /// feasible, then the intra-segment one.
+    ///
+    /// This is the reference enumeration, for tests and diagnostics: it
+    /// tests every pair with no partition, interning or memo, so it shares
+    /// only the level tests with [`SinkSummary::analyze`], which the
+    /// compile path runs instead.
+    pub fn analyze(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Self {
+        let tester = Tester::new(vars, region);
+        let sites = table.sites();
+        let pre: Vec<SitePre> = sites
+            .iter()
+            .map(|s| SitePre::new(vars, region, s))
+            .collect();
+        let mut out = DependenceSet::default();
+        for (a, pa) in sites.iter().zip(&pre) {
+            if !vars.kind(a.var).is_data() {
+                continue;
+            }
+            for (b, pb) in sites.iter().zip(&pre) {
+                if a.var != b.var {
+                    continue;
+                }
+                let kind = match (a.access, b.access) {
+                    (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
+                    (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
+                    (AccessKind::Write, AccessKind::Write) => DepKind::Output,
+                    (AccessKind::Read, AccessKind::Read) => continue,
+                };
+                if let Some(distance) = tester.test_cross(a, b, pa, pb) {
+                    out.push(Dependence {
+                        source: a.id,
+                        sink: b.id,
+                        kind,
+                        scope: DepScope::CrossSegment,
+                        distance,
+                    });
+                }
+                if tester.test_intra(a, b, pa, pb) {
+                    out.push(Dependence {
+                        source: a.id,
+                        sink: b.id,
+                        kind,
+                        scope: DepScope::IntraSegment,
+                        distance: None,
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The per-sink dependence facts Algorithm 2 and the region flags read,
+/// and nothing else:
+///
+/// * whether a site is the sink of a cross-segment dependence (Lemma 3,
+///   Theorem 1);
+/// * for a site that is not, its intra-segment write sources: the flow
+///   sources of a read (Theorem 2) and the output sources of a write
+///   (the program-order refinement of Theorem 1 in `refidem-core`).
+///
+/// Sites with neither fact are absent. The contents are immutable and
+/// shared behind one `Arc`, so `clone` bumps a reference count.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SinkSummary {
+    store: Arc<SinkStore>,
+}
+
+#[derive(Debug, Default, PartialEq, Eq)]
+struct SinkStore {
+    /// One entry per sink with a fact, sorted by sink id.
+    facts: Vec<SinkFact>,
+    /// The intra-segment sources of every fact, concatenated in fact order,
+    /// each fact's run sorted by id.
+    sources: Vec<RefId>,
+}
+
+/// The facts of one sink of a [`SinkSummary`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SinkFact {
+    /// The sink reference site.
+    pub sink: RefId,
+    /// True when the site is the sink of a cross-segment dependence. Such a
+    /// fact lists no intra-segment sources.
+    pub cross: bool,
+    sources: (u32, u32),
+}
+
+impl SinkStore {
+    /// Appends the fact of `sink`; sinks must arrive in increasing id order.
+    fn push(&mut self, sink: RefId, cross: bool, start: usize) {
+        debug_assert!(self.facts.last().map_or(true, |f| f.sink < sink));
+        self.sources[start..].sort_unstable();
+        let offset = |i: usize| u32::try_from(i).expect("fewer than 2^32 intra sources");
+        self.facts.push(SinkFact {
+            sink,
+            cross,
+            sources: (offset(start), offset(self.sources.len())),
+        });
+    }
+}
+
+impl SinkSummary {
+    /// Computes the summary of a region loop given the reference table of
+    /// its body, testing sink by sink (see the module docs). Equal to
+    /// [`from_deps`](Self::from_deps) of [`DependenceSet::analyze`] on the
+    /// same input.
+    pub fn analyze(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Self {
+        let sites = table.sites();
+        let partition = Partition::new(vars, sites);
+        let mut pairs = PairTester::new(vars, region, sites, &partition);
+        // Sinks in id order, so the store comes out sorted.
+        let mut sinks: Vec<usize> = (0..sites.len())
+            .filter(|&i| partition.members(i).is_some())
+            .collect();
+        sinks.sort_unstable_by_key(|&i| sites[i].id);
+        let mut store = SinkStore::default();
+        for b_idx in sinks {
+            let b = &sites[b_idx];
+            let members = partition.members(b_idx).expect("sinks are partitioned");
+            let cross = members.iter().any(|&a_idx| {
+                (sites[a_idx].access == AccessKind::Write || b.access == AccessKind::Write)
+                    && pairs.cross(a_idx, b_idx).is_some()
+            });
+            let start = store.sources.len();
+            if !cross {
+                for &a_idx in members {
+                    if sites[a_idx].access == AccessKind::Write && pairs.intra(a_idx, b_idx) {
+                        store.sources.push(sites[a_idx].id);
+                    }
+                }
+            }
+            if cross || store.sources.len() > start {
+                store.push(b.id, cross, start);
+            }
+        }
+        SinkSummary {
+            store: Arc::new(store),
+        }
+    }
+
+    /// Derives the summary from an explicit dependence set: a sink's cross
+    /// bit from its cross-segment dependences, and, for a sink without
+    /// one, the sources of its intra-segment flow and output dependences.
+    pub fn from_deps(deps: &DependenceSet) -> Self {
+        let mut per_sink: BTreeMap<RefId, (bool, Vec<RefId>)> = BTreeMap::new();
+        for d in deps.deps() {
+            let (cross, sources) = per_sink.entry(d.sink).or_default();
+            match d.scope {
+                DepScope::CrossSegment => *cross = true,
+                DepScope::IntraSegment if d.kind != DepKind::Anti => sources.push(d.source),
+                DepScope::IntraSegment => {}
+            }
+        }
+        let mut store = SinkStore::default();
+        for (sink, (cross, mut sources)) in per_sink {
+            if cross {
+                sources.clear();
+            }
+            sources.sort_unstable();
+            sources.dedup();
+            if cross || !sources.is_empty() {
+                let start = store.sources.len();
+                store.sources.extend(sources);
+                store.push(sink, cross, start);
+            }
+        }
+        SinkSummary {
+            store: Arc::new(store),
+        }
+    }
+
+    /// Every sink with a fact, sorted by sink id.
+    pub fn facts(&self) -> &[SinkFact] {
+        &self.store.facts
+    }
+
+    /// Number of sinks with a fact.
+    pub fn len(&self) -> usize {
+        self.store.facts.len()
+    }
+
+    /// True when no site is the sink of a dependence the labeling reads.
+    pub fn is_empty(&self) -> bool {
+        self.store.facts.is_empty()
+    }
+
+    fn fact(&self, r: RefId) -> Option<&SinkFact> {
+        let facts = &self.store.facts;
+        facts
+            .binary_search_by_key(&r, |f| f.sink)
+            .ok()
+            .map(|i| &facts[i])
+    }
+
+    /// True when `r` is the sink of a cross-segment dependence (Lemma 3's
+    /// condition).
+    pub fn is_sink_of_cross_segment(&self, r: RefId) -> bool {
+        self.fact(r).is_some_and(|f| f.cross)
+    }
+
+    /// The intra-segment write sources of `r`, sorted by id: the flow
+    /// sources of a read, the output sources of a write. Empty when `r` is
+    /// the sink of a cross-segment dependence.
+    pub fn intra_sources(&self, r: RefId) -> &[RefId] {
+        self.fact(r).map_or(&[], |f| {
+            &self.store.sources[f.sources.0 as usize..f.sources.1 as usize]
+        })
+    }
+
+    /// True when the region carries at least one cross-segment dependence.
+    pub fn has_cross_segment_deps(&self) -> bool {
+        self.store.facts.iter().any(|f| f.cross)
+    }
+
     /// True when the region carries at least one cross-segment dependence
-    /// on a variable outside `ignored` (used to model compiler
-    /// parallelization after privatization).
+    /// into a site whose variable is outside `ignored` (used to model
+    /// compiler parallelization after privatization).
     pub fn has_cross_segment_deps_excluding(
         &self,
         table: &RefTable,
         ignored: &dyn Fn(VarId) -> bool,
     ) -> bool {
-        self.deps.iter().any(|d| {
-            d.scope == DepScope::CrossSegment
+        self.store.facts.iter().any(|f| {
+            f.cross
                 && table
-                    .get(d.sink)
+                    .get(f.sink)
                     .map(|site| !ignored(site.var))
                     .unwrap_or(true)
         })
     }
+}
 
-    /// Analyzes the dependences of a region loop given the reference table
-    /// of its body.
-    ///
-    /// The worker count for the sharded distinct-pair worklist (only
-    /// engaged above [`SHARD_SITE_THRESHOLD`] sites) follows the
-    /// `REFIDEM_JOBS` environment variable, falling back to the machine's
-    /// available parallelism — the same contract as `SweepExec` in
-    /// `refidem_specsim`. The result is byte-identical at any worker count
-    /// (see [`analyze_with_jobs`](Self::analyze_with_jobs)).
-    pub fn analyze(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Self {
-        Self::analyze_with_jobs(vars, region, table, analysis_jobs())
-    }
+/// Per-variable partition of the site list. Only sites of a data variable
+/// with at least one write site can take part in a dependence; every other
+/// site — notably the giant blocks' read-only coefficient arrays — skips
+/// testing, signature interning and the bounds walk entirely.
+struct Partition {
+    /// Member site indices of each partition, in table order.
+    groups: Vec<Vec<usize>>,
+    /// The partition of each site, [`Partition::NONE`] for a site that
+    /// takes part in no dependence.
+    group_of: Vec<u32>,
+}
 
-    /// [`analyze`](Self::analyze) with an explicit worker count for the
-    /// sharded distinct-pair worklist, bypassing `REFIDEM_JOBS`. Exposed so
-    /// determinism tests can compare worker counts without mutating the
-    /// process environment; the returned set — including the order of
-    /// [`deps`](Self::deps) — is identical for every `jobs` value.
-    pub fn analyze_with_jobs(
-        vars: &VarTable,
-        region: &LoopStmt,
-        table: &RefTable,
-        jobs: usize,
-    ) -> Self {
-        let tester = Tester::new(vars, region);
-        let sites = table.sites();
+impl Partition {
+    const NONE: u32 = u32::MAX;
 
-        // --- Partition sites by base variable (in table order). Only
-        // partitions of a data variable with at least one write site can
-        // produce a dependence; every other site — notably the giant
-        // blocks' read-only coefficient arrays — skips pairing, signature
-        // interning and the bounds walk entirely.
-        let mut groups: HashMap<VarId, VarGroup> = HashMap::new();
+    fn new(vars: &VarTable, sites: &[RefSite]) -> Self {
+        let mut index: HashMap<VarId, u32> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut written: Vec<bool> = Vec::new();
+        let mut group_of = vec![Self::NONE; sites.len()];
         for (i, s) in sites.iter().enumerate() {
             if !vars.kind(s.var).is_data() {
                 continue;
             }
-            let group = groups.entry(s.var).or_default();
-            group.members.push(i);
-            if s.access == AccessKind::Write {
-                group.writes += 1;
-            }
-        }
-        groups.retain(|_, g| g.writes > 0);
-
-        // --- Flat site-arena pass: intern each pairable site's access
-        // signature into a dedup table and precompute, once per *distinct
-        // signature*, what the tester used to recompute per pair per level
-        // — the `IndexBounds` walk and the parameter-folded affine view of
-        // each subscript. (Sites with equal signatures have identical loop
-        // nests and subscripts, so they share one arena entry: a giant
-        // block's hundreds of same-shape references pay for one walk.)
-        let mut interner: HashMap<Vec<i64>, u32> = HashMap::new();
-        let mut sig: Vec<u32> = vec![0; sites.len()];
-        let mut pre: Vec<SitePre> = Vec::new();
-        for group in groups.values() {
-            for &i in &group.members {
-                let s = &sites[i];
-                let tokens = signature_tokens(s);
-                let next = interner.len() as u32;
-                let id = *interner.entry(tokens).or_insert(next);
-                sig[i] = id;
-                if id as usize == pre.len() {
-                    pre.push(SitePre {
-                        bounds: IndexBounds::for_site(vars, region, &s.loops),
-                        subs: s
-                            .reference
-                            .subs
-                            .iter()
-                            .map(|sub| {
-                                sub.as_affine()
-                                    .map(|e| e.substitute_params(&|v| vars.param_value(v)))
-                            })
-                            .collect(),
-                    });
-                }
-            }
-        }
-        let mut memo = MemoTable::new(interner.len());
-        let run_one = |a_idx: usize, b_idx: usize| -> Verdict {
-            let (pa, pb) = (&pre[sig[a_idx] as usize], &pre[sig[b_idx] as usize]);
-            tester.test_pair_verdict(&sites[a_idx], &sites[b_idx], pa, pb)
-        };
-
-        // Pair enumeration, shared by both strategies below: the original
-        // nested-loop order, restricted to a variable's own partition (the
-        // inner loop visits exactly the sites the unpartitioned scan kept).
-        // `a.order < b.order` is the only pair-level fact the tester reads
-        // beyond the two signatures (site orders are unique, so it also
-        // subsumes the `a.id != b.id` gate) — together they form the memo
-        // key of the pair's canonical signature.
-        macro_rules! for_each_pair {
-            ($visit:expr) => {{
-                let mut visit = $visit;
-                for (a_idx, a) in sites.iter().enumerate() {
-                    let Some(group) = groups.get(&a.var) else {
-                        continue;
-                    };
-                    for &b_idx in &group.members {
-                        let b = &sites[b_idx];
-                        if a.access == AccessKind::Read && b.access == AccessKind::Read {
-                            continue;
-                        }
-                        visit(a_idx, b_idx, sig[a_idx], sig[b_idx], a.order < b.order);
-                    }
-                }
-            }};
-        }
-
-        // --- Verdicts. Small regions run a single fused pass, computing
-        // each distinct signature pair's verdict on first encounter. Above
-        // the site threshold the distinct-pair worklist is collected first
-        // and sharded across scoped workers with a deterministic ordered
-        // merge (every verdict lands in its worklist slot), then emission
-        // re-runs the enumeration against the filled memo — the emitted
-        // set is byte-identical either way, at any worker count.
-        let workers = jobs.max(1);
-        let mut verdicts: Vec<Verdict> = Vec::new();
-        if workers > 1 && sites.len() > SHARD_SITE_THRESHOLD {
-            let mut worklist: Vec<(usize, usize)> = Vec::new();
-            for_each_pair!(|a_idx: usize, b_idx: usize, sa: u32, sb: u32, lt: bool| {
-                if memo.slot(sa, sb, lt).is_none() {
-                    memo.record(sa, sb, lt, worklist.len() as u32);
-                    worklist.push((a_idx, b_idx));
-                }
+            let g = *index.entry(s.var).or_insert_with(|| {
+                groups.push(Vec::new());
+                written.push(false);
+                groups.len() as u32 - 1
             });
-            if worklist.len() >= 2 * workers {
-                let slots: Vec<std::sync::Mutex<Option<Verdict>>> = worklist
-                    .iter()
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect();
-                let cursor = std::sync::atomic::AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers.min(worklist.len()) {
-                        scope.spawn(|| loop {
-                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&(a_idx, b_idx)) = worklist.get(i) else {
-                                break;
-                            };
-                            let v = run_one(a_idx, b_idx);
-                            *slots[i].lock().expect("verdict slot poisoned") = Some(v);
-                        });
-                    }
-                });
-                verdicts = slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("verdict slot poisoned")
-                            .expect("every worklist slot is filled")
-                    })
-                    .collect();
-            } else {
-                verdicts = worklist
-                    .iter()
-                    .map(|&(a_idx, b_idx)| run_one(a_idx, b_idx))
-                    .collect();
+            groups[g as usize].push(i);
+            written[g as usize] |= s.access == AccessKind::Write;
+            group_of[i] = g;
+        }
+        for g in &mut group_of {
+            if *g != Self::NONE && !written[*g as usize] {
+                *g = Self::NONE;
             }
         }
+        Partition { groups, group_of }
+    }
 
-        // --- Emission in the original pair order: per pair, the
-        // cross-segment dependence (if feasible) precedes the intra-segment
-        // one, exactly as the unmemoized tester pushed them. Sink/source
-        // indices accumulate in dense site-indexed vectors and fold into
-        // the `BTreeMap`s once at the end (site ids are dense table
-        // positions), instead of paying a tree update per push.
-        let mut deps: Vec<Dependence> = Vec::new();
-        let mut by_sink: Vec<Vec<usize>> = (0..sites.len()).map(|_| Vec::new()).collect();
-        let mut by_source: Vec<Vec<usize>> = (0..sites.len()).map(|_| Vec::new()).collect();
-        for_each_pair!(|a_idx: usize, b_idx: usize, sa: u32, sb: u32, lt: bool| {
-            let slot = match memo.slot(sa, sb, lt) {
-                Some(slot) => slot as usize,
-                None => {
-                    let slot = verdicts.len();
-                    memo.record(sa, sb, lt, slot as u32);
-                    verdicts.push(run_one(a_idx, b_idx));
-                    slot
-                }
-            };
-            let verdict = verdicts[slot];
-            if verdict.cross.is_none() && !verdict.intra {
-                return;
-            }
-            let (a, b) = (&sites[a_idx], &sites[b_idx]);
-            let kind = match (a.access, b.access) {
-                (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
-                (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-                (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                (AccessKind::Read, AccessKind::Read) => unreachable!("filtered above"),
-            };
-            if let Some(distance) = verdict.cross {
-                by_sink[b_idx].push(deps.len());
-                by_source[a_idx].push(deps.len());
-                deps.push(Dependence {
-                    source: a.id,
-                    sink: b.id,
-                    kind,
-                    scope: DepScope::CrossSegment,
-                    distance,
-                });
-            }
-            if verdict.intra {
-                by_sink[b_idx].push(deps.len());
-                by_source[a_idx].push(deps.len());
-                deps.push(Dependence {
-                    source: a.id,
-                    sink: b.id,
-                    kind,
-                    scope: DepScope::IntraSegment,
-                    distance: None,
-                });
-            }
-        });
-        let fold = |dense: Vec<Vec<usize>>| -> BTreeMap<RefId, Vec<usize>> {
-            dense
-                .into_iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(i, v)| (sites[i].id, v))
-                .collect()
-        };
-        DependenceSet {
-            deps: Arc::new(deps),
-            sink_index: Arc::new(fold(by_sink)),
-            source_index: Arc::new(fold(by_source)),
-        }
+    /// The sites that may alias site `i` (itself included), or `None` when
+    /// `i` takes part in no dependence.
+    fn members(&self, i: usize) -> Option<&[usize]> {
+        let g = self.group_of[i];
+        (g != Self::NONE).then(|| self.groups[g as usize].as_slice())
     }
 }
 
-/// Memo table mapping a canonical signature pair `(sig_a, sig_b,
-/// a.order < b.order)` to its verdict slot. Dense (a flat
-/// `2·S²`-entry array) while the distinct-signature count `S` is small —
-/// the giant-block case, where pair enumeration is the hot loop — and a
-/// hash map beyond [`MemoTable::DENSE_SIG_LIMIT`], where verdict
+/// The memoized pair tester shared by [`DependenceSet::analyze`] and
+/// [`SinkSummary::analyze`]: the interned signature of every partitioned
+/// site, the arena of per-signature facts, and one verdict memo per level
+/// class.
+struct PairTester<'a> {
+    tester: Tester<'a>,
+    sites: &'a [RefSite],
+    sig: Vec<u32>,
+    pre: Vec<SitePre>,
+    /// `(sig_a, sig_b)` → region-level verdict (with its distance).
+    cross: Memo<Option<Option<i64>>>,
+    /// `(sig_a, sig_b, a.order < b.order)` → intra-segment verdict.
+    intra: Memo<bool>,
+}
+
+impl<'a> PairTester<'a> {
+    /// Interns each partitioned site's access signature and precomputes,
+    /// once per distinct signature, the `IndexBounds` walk and the
+    /// parameter-folded affine view of each subscript. (Sites with equal
+    /// signatures have identical loop nests and subscripts, so they share
+    /// one arena entry.)
+    fn new(
+        vars: &'a VarTable,
+        region: &'a LoopStmt,
+        sites: &'a [RefSite],
+        partition: &Partition,
+    ) -> Self {
+        let mut interner: HashMap<Vec<i64>, u32> = HashMap::new();
+        let mut tokens: Vec<i64> = Vec::new();
+        let mut sig: Vec<u32> = vec![0; sites.len()];
+        let mut pre: Vec<SitePre> = Vec::new();
+        for (i, s) in sites.iter().enumerate() {
+            if partition.group_of[i] == Partition::NONE {
+                continue;
+            }
+            signature_tokens(s, &mut tokens);
+            if let Some(&id) = interner.get(tokens.as_slice()) {
+                sig[i] = id;
+            } else {
+                sig[i] = pre.len() as u32;
+                interner.insert(tokens.clone(), sig[i]);
+                pre.push(SitePre::new(vars, region, s));
+            }
+        }
+        PairTester {
+            tester: Tester::new(vars, region),
+            sites,
+            sig,
+            cross: Memo::new(pre.len(), false),
+            intra: Memo::new(pre.len(), true),
+            pre,
+        }
+    }
+
+    /// The region-level (cross-segment) verdict of the ordered pair
+    /// (source `a`, sink `b`): `Some(distance)` when a dependence may exist.
+    fn cross(&mut self, a: usize, b: usize) -> Option<Option<i64>> {
+        let (sa, sb) = (self.sig[a], self.sig[b]);
+        let (tester, sites, pre) = (&self.tester, self.sites, &self.pre);
+        self.cross.get_or_insert_with(sa, sb, false, || {
+            tester.test_cross(&sites[a], &sites[b], &pre[sa as usize], &pre[sb as usize])
+        })
+    }
+
+    /// The intra-segment verdict of the ordered pair (source `a`, sink `b`).
+    fn intra(&mut self, a: usize, b: usize) -> bool {
+        let (sa, sb) = (self.sig[a], self.sig[b]);
+        let lt = self.sites[a].order < self.sites[b].order;
+        let (tester, sites, pre) = (&self.tester, self.sites, &self.pre);
+        self.intra.get_or_insert_with(sa, sb, lt, || {
+            tester.test_intra(&sites[a], &sites[b], &pre[sa as usize], &pre[sb as usize])
+        })
+    }
+}
+
+/// A verdict memo keyed by a canonical signature pair, optionally split by
+/// `a.order < b.order`. The key maps to a slot in `values`: through a flat
+/// `S²` (or `2·S²`) index while the distinct-signature count `S` is small
+/// — the giant-block case, where pair enumeration is the hot loop — and
+/// through a hash map beyond [`Memo::DENSE_SIG_LIMIT`], where verdict
 /// computation dominates anyway.
-enum MemoTable {
-    Dense { sigs: usize, table: Vec<u32> },
+struct Memo<V> {
+    index: MemoIndex,
+    values: Vec<V>,
+}
+
+enum MemoIndex {
+    /// Slot + 1 per key; 0 is empty, so the table starts zeroed.
+    Dense {
+        sigs: usize,
+        ordered: bool,
+        table: Vec<u32>,
+    },
     Sparse(HashMap<(u32, u32, bool), u32>),
 }
 
-impl MemoTable {
-    /// Above this many distinct signatures the dense table (which costs
-    /// `8·S²` bytes) gives way to a hash map.
+impl<V: Copy> Memo<V> {
+    /// Above this many distinct signatures the dense index (`4·S²` bytes
+    /// per order class) gives way to a hash map.
     const DENSE_SIG_LIMIT: usize = 512;
-    const EMPTY: u32 = u32::MAX;
 
-    fn new(sigs: usize) -> Self {
-        if sigs <= Self::DENSE_SIG_LIMIT {
-            MemoTable::Dense {
+    fn new(sigs: usize, ordered: bool) -> Self {
+        let index = if sigs <= Self::DENSE_SIG_LIMIT {
+            MemoIndex::Dense {
                 sigs,
-                table: vec![Self::EMPTY; 2 * sigs * sigs],
+                ordered,
+                table: vec![0; (1 + ordered as usize) * sigs * sigs],
             }
         } else {
-            MemoTable::Sparse(HashMap::new())
+            MemoIndex::Sparse(HashMap::new())
+        };
+        Memo {
+            index,
+            values: Vec::new(),
         }
     }
 
-    fn slot(&self, sa: u32, sb: u32, lt: bool) -> Option<u32> {
-        match self {
-            MemoTable::Dense { sigs, table } => {
-                let i = ((sa as usize * sigs) + sb as usize) * 2 + lt as usize;
-                (table[i] != Self::EMPTY).then_some(table[i])
+    fn get_or_insert_with(&mut self, sa: u32, sb: u32, lt: bool, f: impl FnOnce() -> V) -> V {
+        let next = self.values.len() as u32;
+        let slot = match &mut self.index {
+            MemoIndex::Dense {
+                sigs,
+                ordered,
+                table,
+            } => {
+                let mut i = sa as usize * *sigs + sb as usize;
+                if *ordered {
+                    i = 2 * i + lt as usize;
+                }
+                if table[i] == 0 {
+                    table[i] = next + 1;
+                }
+                table[i] - 1
             }
-            MemoTable::Sparse(map) => map.get(&(sa, sb, lt)).copied(),
+            MemoIndex::Sparse(map) => *map.entry((sa, sb, lt)).or_insert(next),
+        };
+        if slot == next {
+            self.values.push(f());
         }
+        self.values[slot as usize]
     }
-
-    fn record(&mut self, sa: u32, sb: u32, lt: bool, slot: u32) {
-        match self {
-            MemoTable::Dense { sigs, table } => {
-                let i = ((sa as usize * *sigs) + sb as usize) * 2 + lt as usize;
-                table[i] = slot;
-            }
-            MemoTable::Sparse(map) => {
-                map.insert((sa, sb, lt), slot);
-            }
-        }
-    }
-}
-
-/// Site count above which the distinct-pair worklist is sharded across
-/// worker threads. Small regions (the overwhelmingly common case) never
-/// pay for thread spawns.
-pub const SHARD_SITE_THRESHOLD: usize = 64;
-
-/// Worker count for [`DependenceSet::analyze`]: the `REFIDEM_JOBS`
-/// environment variable (positive decimal) when set and valid, otherwise
-/// the machine's available parallelism. This mirrors the `SweepExec`
-/// contract of `refidem_specsim`, which sits *above* this crate in the
-/// dependency graph — both knobs are the same variable, so a driver that
-/// pins its sweep width also pins the analysis shard width.
-fn analysis_jobs() -> usize {
-    // The env var is re-read on every call (cheap, and tests/driver
-    // scripts change it between runs); the `available_parallelism`
-    // fallback is cached process-wide — the syscall walks cgroup files on
-    // containerized hosts and costs ~10µs, which would dominate the whole
-    // analysis of a small region.
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    std::env::var("REFIDEM_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-        .unwrap_or_else(|| {
-            *CORES.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        })
-}
-
-/// Per-variable partition of the site list: member site indices in table
-/// order, plus the write count (a partition with no write never produces a
-/// dependence and is skipped wholesale).
-#[derive(Default)]
-struct VarGroup {
-    members: Vec<usize>,
-    writes: usize,
 }
 
 /// Per-site precomputed facts (the flat site arena): the per-site bounds
@@ -526,13 +633,21 @@ struct SitePre {
     subs: Vec<Option<AffineExpr>>,
 }
 
-/// The memoizable outcome of testing one ordered pair: whether a
-/// cross-segment dependence may exist (with its exact distance when known)
-/// and whether an intra-segment one may.
-#[derive(Clone, Copy, Debug)]
-struct Verdict {
-    cross: Option<Option<i64>>,
-    intra: bool,
+impl SitePre {
+    fn new(vars: &VarTable, region: &LoopStmt, s: &RefSite) -> Self {
+        SitePre {
+            bounds: IndexBounds::for_site(vars, region, &s.loops),
+            subs: s
+                .reference
+                .subs
+                .iter()
+                .map(|sub| {
+                    sub.as_affine()
+                        .map(|e| e.substitute_params(&|v| vars.param_value(v)))
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Serializes everything the hierarchical tester reads from one site into
@@ -541,9 +656,10 @@ struct Verdict {
 /// step) and each subscript's affine coefficient vector (indirect
 /// subscripts contribute a bare marker — the tester never looks inside
 /// them). Two sites with equal tokens are indistinguishable to
-/// `test_pair`, which is what makes the per-signature-pair verdict memo
-/// sound.
-fn signature_tokens(s: &RefSite) -> Vec<i64> {
+/// [`Tester::test_cross`] and [`Tester::test_intra`], which is what makes
+/// the per-signature-pair verdict memos sound. The tokens replace the
+/// contents of `t`.
+fn signature_tokens(s: &RefSite, t: &mut Vec<i64>) {
     fn push_affine(t: &mut Vec<i64>, e: &AffineExpr) {
         t.push(e.constant);
         t.push(e.terms.len() as i64);
@@ -552,15 +668,15 @@ fn signature_tokens(s: &RefSite) -> Vec<i64> {
             t.push(c);
         }
     }
-    let mut t = Vec::with_capacity(8 + 8 * s.loops.len() + 4 * s.reference.subs.len());
+    t.clear();
     t.push((s.access == AccessKind::Write) as i64);
     t.push(s.conditional as i64);
     t.push(s.loops.len() as i64);
     for l in &s.loops {
         t.push(l.stmt.index() as i64);
         t.push(l.index.index() as i64);
-        push_affine(&mut t, &l.lower);
-        push_affine(&mut t, &l.upper);
+        push_affine(t, &l.lower);
+        push_affine(t, &l.upper);
         t.push(l.step);
     }
     t.push(s.reference.subs.len() as i64);
@@ -568,12 +684,11 @@ fn signature_tokens(s: &RefSite) -> Vec<i64> {
         match sub.as_affine() {
             Some(e) => {
                 t.push(1);
-                push_affine(&mut t, e);
+                push_affine(t, e);
             }
             None => t.push(0),
         }
     }
-    t
 }
 
 /// Internal: hierarchical dependence tester for one region. Parameter
@@ -653,34 +768,37 @@ impl<'a> Tester<'a> {
         out
     }
 
-    /// Tests all dependence levels for the ordered pair (source = `a`,
-    /// sink = `b`) and returns the memoizable verdict. The verdict depends
-    /// only on the two sites' access signatures and on whether `a`
-    /// textually precedes `b` — the invariant the per-signature-pair memo
-    /// in [`DependenceSet::analyze_with_jobs`] relies on.
-    fn test_pair_verdict(&self, a: &RefSite, b: &RefSite, pa: &SitePre, pb: &SitePre) -> Verdict {
+    /// Tests the region level for the ordered pair (source = `a`, sink =
+    /// `b`): `Some(distance)` when a cross-segment dependence may exist.
+    /// The verdict depends only on the two sites' access signatures — the
+    /// invariant the `(sig_a, sig_b)` memo of [`PairTester`] relies on.
+    fn test_cross(
+        &self,
+        a: &RefSite,
+        b: &RefSite,
+        pa: &SitePre,
+        pb: &SitePre,
+    ) -> Option<Option<i64>> {
+        self.test_level(a, b, pa, pb, &self.common_loops(a, b), 0)
+    }
+
+    /// Tests the intra-segment levels for the ordered pair (source = `a`,
+    /// sink = `b`): carried by a common inner loop, or loop-independent.
+    /// The verdict depends only on the two sites' access signatures and on
+    /// whether `a` textually precedes `b` — the key of the intra memo of
+    /// [`PairTester`].
+    fn test_intra(&self, a: &RefSite, b: &RefSite, pa: &SitePre, pb: &SitePre) -> bool {
         let common = self.common_loops(a, b);
-
-        // Cross-segment: carried by the region loop.
-        let cross = self.test_level(a, b, pa, pb, &common, 0);
-
-        // Intra-segment: carried by one of the common inner loops.
-        let mut intra = false;
-        for level in 1..=common.len() {
-            if self.test_level(a, b, pa, pb, &common, level).is_some() {
-                intra = true;
-                break;
-            }
-        }
-        // Intra-segment: loop-independent (same instance of every common
-        // loop), requires the source to precede the sink textually.
-        if !intra && a.id != b.id && a.order < b.order {
-            let level = common.len() + 1;
-            if self.test_level(a, b, pa, pb, &common, level).is_some() {
-                intra = true;
-            }
-        }
-        Verdict { cross, intra }
+        let carried =
+            (1..=common.len()).any(|level| self.test_level(a, b, pa, pb, &common, level).is_some());
+        // Loop-independent (same instance of every common loop) requires
+        // the source to precede the sink textually.
+        carried
+            || (a.id != b.id
+                && a.order < b.order
+                && self
+                    .test_level(a, b, pa, pb, &common, common.len() + 1)
+                    .is_some())
     }
 
     /// Tests one dependence level.
@@ -999,72 +1117,9 @@ mod tests {
         find_region(body, label).expect("region").clone()
     }
 
-    /// The pre-pruning pair loop, kept verbatim as a reference
-    /// implementation: every ordered same-variable pair is tested
-    /// individually, with per-pair arena facts and no memoization. The
-    /// pruned [`DependenceSet::analyze`] must be structurally identical to
-    /// this — including the emission order of `deps()`.
-    fn analyze_reference(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> DependenceSet {
-        let tester = Tester::new(vars, region);
-        let site_pre = |s: &RefSite| SitePre {
-            bounds: IndexBounds::for_site(vars, region, &s.loops),
-            subs: s
-                .reference
-                .subs
-                .iter()
-                .map(|sub| {
-                    sub.as_affine()
-                        .map(|e| e.substitute_params(&|v| vars.param_value(v)))
-                })
-                .collect(),
-        };
-        let mut out = DependenceSet::default();
-        let sites = table.sites();
-        for a in sites {
-            for b in sites {
-                if a.var != b.var {
-                    continue;
-                }
-                if a.access == AccessKind::Read && b.access == AccessKind::Read {
-                    continue;
-                }
-                if !vars.kind(a.var).is_data() {
-                    continue;
-                }
-                let kind = match (a.access, b.access) {
-                    (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
-                    (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-                    (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                    (AccessKind::Read, AccessKind::Read) => continue,
-                };
-                let verdict = tester.test_pair_verdict(a, b, &site_pre(a), &site_pre(b));
-                if let Some(distance) = verdict.cross {
-                    out.push(Dependence {
-                        source: a.id,
-                        sink: b.id,
-                        kind,
-                        scope: DepScope::CrossSegment,
-                        distance,
-                    });
-                }
-                if verdict.intra {
-                    out.push(Dependence {
-                        source: a.id,
-                        sink: b.id,
-                        kind,
-                        scope: DepScope::IntraSegment,
-                        distance: None,
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// A TWLDRV-shaped giant block: `stmts` straight-line statements
     /// chaining four accumulator scalars through coefficient-array reads,
-    /// plus a final array store — enough sites to cross
-    /// [`SHARD_SITE_THRESHOLD`].
+    /// plus a final array store.
     fn giant_block(stmts: usize) -> (ProcBuilder, Vec<Stmt>) {
         let mut b = ProcBuilder::new("giant");
         let e = b.array("e", &[stmts, 8]);
@@ -1091,12 +1146,13 @@ mod tests {
         (b, outer)
     }
 
-    /// The pruned path (memo + partition + arena) must be structurally
-    /// identical to the reference pair loop on a mix of region shapes:
-    /// carried stencils, scalar tangles, interleaved strides, descending
-    /// loops, indirect subscripts and guarded writes.
+    /// The demand-driven summary (partition + arena + memos + early exit)
+    /// must equal the summary of the reference pair loop on a mix of region
+    /// shapes: carried stencils, scalar tangles, interleaved strides,
+    /// descending loops, indirect subscripts, guarded writes and
+    /// intra-segment-only recurrences.
     #[test]
-    fn pruned_analysis_matches_reference_on_diverse_regions() {
+    fn summary_matches_the_reference_on_diverse_regions() {
         let mut cases: Vec<(ProcBuilder, Vec<Stmt>, &str)> = Vec::new();
         // Carried stencil: a(k) = a(k-1) + 1.
         {
@@ -1162,37 +1218,44 @@ mod tests {
             let body = vec![b.do_loop_labeled("R", k, ac(1), ac(10), vec![s])];
             cases.push((b, body, "R"));
         }
+        // Intra-segment only: an inner-loop recurrence m(k, j) = m(k, j-1)
+        // and a second write to the element the first one wrote.
+        {
+            let mut b = ProcBuilder::new("t");
+            let m = b.array("m", &[16, 16]);
+            let k = b.index("k");
+            let j = b.index("j");
+            let rhs = add(b.load_elem(m, vec![av(k), av(j) - ac(1)]), num(1.0));
+            let s = b.assign_elem(m, vec![av(k), av(j)], rhs);
+            let inner = b.do_loop(j, ac(2), ac(9), vec![s]);
+            let again = b.assign_elem(m, vec![av(k), ac(9)], num(0.5));
+            let body = vec![b.do_loop_labeled("R", k, ac(1), ac(10), vec![inner, again])];
+            cases.push((b, body, "R"));
+        }
+        let mut intra_sources = 0;
         for (b, body, label) in &cases {
             let region = find_region(body, label).expect("region").clone();
             let table = RefTable::collect(&region.body);
-            let reference = analyze_reference(b.vars(), &region, &table);
-            for jobs in [1, 4] {
-                let pruned = DependenceSet::analyze_with_jobs(b.vars(), &region, &table, jobs);
-                assert_eq!(pruned, reference, "jobs={jobs}");
-            }
+            let reference = DependenceSet::analyze(b.vars(), &region, &table);
+            let summary = SinkSummary::analyze(b.vars(), &region, &table);
+            assert_eq!(summary, SinkSummary::from_deps(&reference));
+            intra_sources += summary.store.sources.len();
         }
+        assert!(intra_sources > 0, "the cases must exercise intra sources");
     }
 
-    /// A giant block big enough to engage the sharded worklist must be
-    /// byte-identical to the reference at every worker count — the jobs=1
-    /// vs jobs=4 determinism guarantee of the ordered merge.
+    /// A giant block (every sink a cross-segment sink) summarizes exactly
+    /// like its full enumeration, in a handful of distinct pair tests.
     #[test]
-    fn giant_block_is_deterministic_across_jobs() {
+    fn giant_block_summary_matches_the_reference() {
         let (b, body) = giant_block(96);
         let region = find_region(&body, "G").expect("region").clone();
         let table = RefTable::collect(&region.body);
-        assert!(
-            table.len() > SHARD_SITE_THRESHOLD,
-            "giant block must cross the shard threshold ({} sites)",
-            table.len()
-        );
-        let reference = analyze_reference(b.vars(), &region, &table);
-        let serial = DependenceSet::analyze_with_jobs(b.vars(), &region, &table, 1);
-        let sharded = DependenceSet::analyze_with_jobs(b.vars(), &region, &table, 4);
-        assert_eq!(serial, reference);
-        assert_eq!(sharded, reference);
-        assert_eq!(serial, sharded);
-        assert!(!reference.is_empty());
+        let reference = DependenceSet::analyze(b.vars(), &region, &table);
+        let summary = SinkSummary::analyze(b.vars(), &region, &table);
+        assert_eq!(summary, SinkSummary::from_deps(&reference));
+        assert!(summary.has_cross_segment_deps());
+        assert!(summary.len() < reference.len());
     }
 
     /// do k = 1, 10:  a(k) = a(k-1) + 1   — classic loop-carried flow dep.

@@ -13,9 +13,11 @@
 //!   reads, must-writes (the facts Algorithm 1's node reference types are
 //!   built from).
 //! * [`depend`] — reference-by-reference may-dependence analysis of a region
-//!   (loop), classifying every dependence as intra-segment or cross-segment
-//!   and as flow / anti / output, using hierarchical ZIV / strong-SIV /
-//!   interval (Banerjee-style) / GCD tests.
+//!   (loop) using hierarchical ZIV / strong-SIV / interval (Banerjee-style)
+//!   / GCD tests: the per-sink facts the labeling reads
+//!   ([`depend::SinkSummary`]), and the full enumeration classifying every
+//!   dependence as intra-segment or cross-segment and as flow / anti /
+//!   output ([`depend::DependenceSet`]).
 //! * [`classify`] — read-only / private / shared classification of the
 //!   variables referenced by a region.
 //! * [`liveness`] — live-out analysis at region exits.
@@ -39,7 +41,7 @@ pub mod schedule;
 pub mod summary;
 
 pub use classify::{VarClass, VarClassification};
-pub use depend::{DepKind, DepScope, Dependence, DependenceSet};
+pub use depend::{DepKind, DepScope, Dependence, DependenceSet, SinkSummary};
 pub use region::RegionAnalysis;
 pub use schedule::{discover_regions, DiscoveredRegion, RegionSchedule};
 pub use summary::BodySummary;
@@ -47,7 +49,7 @@ pub use summary::BodySummary;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::classify::{VarClass, VarClassification};
-    pub use crate::depend::{DepKind, DepScope, Dependence, DependenceSet};
+    pub use crate::depend::{DepKind, DepScope, Dependence, DependenceSet, SinkSummary};
     pub use crate::region::RegionAnalysis;
     pub use crate::schedule::{discover_regions, RegionSchedule};
     pub use crate::summary::BodySummary;

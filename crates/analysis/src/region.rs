@@ -2,8 +2,9 @@
 //!
 //! [`RegionAnalysis`] packages everything the idempotency labeling
 //! (Algorithm 2 in `refidem-core`) needs for one region: the reference
-//! table of the loop body, the body summary, the dependence set, the
-//! variable classification and the live-out set, plus two derived flags:
+//! table of the loop body, the body summary, the per-sink dependence facts
+//! ([`SinkSummary`]), the variable classification and the live-out set,
+//! plus two derived flags:
 //!
 //! * `fully_independent` — the region carries no cross-segment data
 //!   dependences at all (Lemma 7 applies: every reference can be labeled
@@ -16,7 +17,7 @@
 //!   parallel").
 
 use crate::classify::{VarClass, VarClassification};
-use crate::depend::DependenceSet;
+use crate::depend::SinkSummary;
 use crate::liveness::region_live_out;
 use crate::summary::BodySummary;
 use refidem_ir::ids::VarId;
@@ -70,8 +71,11 @@ pub struct RegionAnalysis {
     pub table: RefTable,
     /// Body summary (exposed reads, must writes, …) of one iteration.
     pub summary: BodySummary,
-    /// May-dependences, classified intra-/cross-segment.
-    pub deps: DependenceSet,
+    /// The per-sink may-dependence facts the labeling reads. The full set,
+    /// for diagnostics and tests, is
+    /// [`DependenceSet::analyze`](crate::depend::DependenceSet::analyze) of
+    /// `loop_stmt` and `table`.
+    pub deps: SinkSummary,
     /// Read-only / private / shared classification.
     pub classes: VarClassification,
     /// Variables live after the region.
@@ -132,7 +136,7 @@ impl RegionAnalysis {
         };
         let table = RefTable::collect(view);
         let summary = BodySummary::analyze(&proc.vars, Some(region), view);
-        let deps = DependenceSet::analyze(&proc.vars, region, &table);
+        let deps = SinkSummary::analyze(&proc.vars, region, &table);
         let live_out =
             region_live_out(proc, &spec.loop_label).expect("region is top-level (checked above)");
         let classes = VarClassification::classify(&summary, &live_out);

@@ -354,7 +354,7 @@ mod tests {
         let clone = LabeledRegion::clone(&hit.region);
         let (a, b) = (&cached.region.analysis, &clone.analysis);
         assert!(std::ptr::eq(a.table.sites(), b.table.sites()));
-        assert!(std::ptr::eq(a.deps.deps(), b.deps.deps()));
+        assert!(std::ptr::eq(a.deps.facts(), b.deps.facts()));
         assert!(Arc::ptr_eq(&a.loop_stmt, &b.loop_stmt));
         assert_eq!(clone.labeling, cached.region.labeling);
     }

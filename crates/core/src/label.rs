@@ -22,7 +22,7 @@ use crate::model::AbstractRegion;
 use crate::rfw::{rfw_for_abstract, rfw_for_loop_region};
 use crate::stats::{DynLabelStats, LabelStats};
 use refidem_analysis::classify::VarClass;
-use refidem_analysis::depend::{DepKind, DepScope, DependenceSet};
+use refidem_analysis::depend::SinkSummary;
 use refidem_analysis::region::{AnalysisError, RegionAnalysis};
 use refidem_analysis::schedule::{discover_regions, RegionSchedule};
 use refidem_ir::exec::DynCounts;
@@ -103,8 +103,9 @@ pub struct LabelInput {
     pub region_name: String,
     /// Every reference site of the region.
     pub sites: Vec<SiteDesc>,
-    /// May-dependences, classified intra-/cross-segment.
-    pub deps: DependenceSet,
+    /// The per-sink may-dependence facts: cross-segment sinks, and the
+    /// intra-segment write sources of every other sink.
+    pub deps: SinkSummary,
     /// Variables never written in the region.
     pub read_only: BTreeSet<VarId>,
     /// Variables private to segments.
@@ -258,6 +259,13 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
             labels.insert(s.id, Label::Idempotent(IdemCategory::Private));
         }
     }
+    let intra_sources_idempotent = |labels: &BTreeMap<RefId, Label>, r: RefId| {
+        input
+            .deps
+            .intra_sources(r)
+            .iter()
+            .all(|src| labels.get(src).is_some_and(Label::is_idempotent))
+    };
     // RFW writes that are not sinks of cross-segment dependences
     // (Theorem 1). One refinement the bounded-storage execution model
     // forces: a speculative write is buffered and only reaches
@@ -275,44 +283,20 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
         }
         if input.rfw.contains(&s.id)
             && !input.deps.is_sink_of_cross_segment(s.id)
-            && input.deps.deps_into(s.id).all(|d| {
-                d.scope != DepScope::IntraSegment
-                    || d.kind != DepKind::Output
-                    || labels
-                        .get(&d.source)
-                        .map(Label::is_idempotent)
-                        .unwrap_or(false)
-            })
+            && intra_sources_idempotent(&labels, s.id)
         {
             labels.insert(s.id, Label::Idempotent(IdemCategory::SharedDependent));
         }
     }
-    // Reads (Theorem 2). Writes were labeled above, so covered reads can
-    // look their sources up in `labels`.
+    // Reads (Theorem 2): idempotent when the read is the sink of no
+    // dependence, or of intra-segment dependences only, every source
+    // idempotent. Writes were labeled above, so covered reads can look
+    // their sources up in `labels`.
     for s in &input.sites {
         if s.access != AccessKind::Read || labels[&s.id].is_idempotent() {
             continue;
         }
-        let mut has_dep = false;
-        let mut has_cross = false;
-        let mut all_intra_sources_idempotent = true;
-        for d in input.deps.deps_into(s.id) {
-            has_dep = true;
-            match d.scope {
-                DepScope::CrossSegment => has_cross = true,
-                DepScope::IntraSegment => {
-                    if !labels
-                        .get(&d.source)
-                        .map(Label::is_idempotent)
-                        .unwrap_or(false)
-                    {
-                        all_intra_sources_idempotent = false;
-                    }
-                }
-            }
-        }
-        let idempotent = !has_dep || (!has_cross && all_intra_sources_idempotent);
-        if idempotent {
+        if !input.deps.is_sink_of_cross_segment(s.id) && intra_sources_idempotent(&labels, s.id) {
             labels.insert(s.id, Label::Idempotent(IdemCategory::SharedDependent));
         }
     }
@@ -377,7 +361,7 @@ pub fn label_abstract_region(region: &AbstractRegion) -> Labeling {
     let input = LabelInput {
         region_name: region.name.clone(),
         sites,
-        deps: region.compute_deps(),
+        deps: SinkSummary::from_deps(&region.compute_deps()),
         read_only: region.read_only_vars(),
         private: region.private_vars(),
         rfw: rfw_for_abstract(region),

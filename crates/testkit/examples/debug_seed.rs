@@ -1,6 +1,7 @@
 //! Scratch debugging driver: prints a generated program, its labels and the
 //! differential outcome for a seed given on the command line.
 
+use refidem_analysis::depend::DependenceSet;
 use refidem_core::label::label_program;
 use refidem_ir::ids::ProcId;
 use refidem_specsim::{simulate_program, ExecMode, SimConfig};
@@ -25,8 +26,15 @@ fn main() {
             println!("  {:?}: {:?} ({:?})", id, l, region.labeling.access(id));
         }
         println!("classes: {:?}", region.analysis.classes);
-        println!("deps: {} total", region.analysis.deps.len());
-        for d in region.analysis.deps.deps() {
+        // The full dependence set (the labeling reads only its per-sink
+        // summary).
+        let deps = DependenceSet::analyze(
+            &g.program.procedure(region.analysis.spec.proc).vars,
+            &region.analysis.loop_stmt,
+            &region.analysis.table,
+        );
+        println!("deps: {} total", deps.len());
+        for d in deps.deps() {
             println!("  {:?}", d);
         }
     }

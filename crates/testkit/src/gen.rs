@@ -883,9 +883,9 @@ pub const GIANT_BLOCK_LABEL: &str = "GIANT";
 /// store that keeps the chain live-out — the FPPPP `TWLDRV_DO100` shape,
 /// sized on demand. The seed only varies which scalars each statement
 /// reads and writes (the dependence tangle), never the site count, so the
-/// block is a stable unit for benchmarking the pairwise dependence-test
-/// pruning on bodies big enough to cross
-/// [`SHARD_SITE_THRESHOLD`](refidem_analysis::depend::SHARD_SITE_THRESHOLD).
+/// block is a stable unit for benchmarking the dependence analysis
+/// ([`SinkSummary::analyze`](refidem_analysis::depend::SinkSummary::analyze))
+/// on bodies of hundreds of reference sites.
 /// Equal `(seed, stmts)` produce byte-identical programs.
 pub fn giant_block(seed: u64, stmts: usize) -> (Program, RegionSpec) {
     let mut rng = Rng::new(seed);

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --example applu_buts`.
 
-use refidem::analysis::depend::dependence_to_string;
+use refidem::analysis::depend::{dependence_to_string, DependenceSet};
 use refidem::core::label::{label_program_region, Label};
 use refidem::ir::pretty;
 use refidem::specsim::{compare_modes, SimConfig};
@@ -33,7 +33,12 @@ fn main() {
 
     println!("\n=== Cross-segment dependences on v ===");
     let v = proc.vars.lookup("v").expect("v exists");
-    for dep in labeled.analysis.deps.deps() {
+    let deps = DependenceSet::analyze(
+        &proc.vars,
+        &labeled.analysis.loop_stmt,
+        &labeled.analysis.table,
+    );
+    for dep in deps.deps() {
         let involves_v = labeled
             .analysis
             .table
